@@ -62,7 +62,7 @@ DispatchEngine::DispatchEngine(const StreamingWorkload* workload,
   // entries as vehicles mutate) and the eval-path counters.
   ctx_.vehicle_index = &vehicle_index_;
   ctx_.rng = &rng_;
-  ctx_.eval_cache = config_.use_eval_cache ? &eval_cache_ : nullptr;
+  ctx_.eval_cache = &eval_cache_;
   ctx_.counters = &counters_;
   ctx_.retrieval_stats = &retrieval_stats_;
   ctx_.st_index = nullptr;
@@ -678,6 +678,7 @@ void DispatchEngine::HandleArrival(const Pending& e) {
       }
     }
     metrics_.solve_latencies.push_back(watch.ElapsedSeconds());
+    ForgetEvaluations(r);
     state_[static_cast<size_t>(r)] = RiderState::kRejected;
     log_.push_back({e.time, EventType::kRejected, r, -1});
     ++metrics_.total_rejected;
@@ -724,6 +725,7 @@ Status DispatchEngine::HandleCancel(const Pending& e) {
   if (state_[static_cast<size_t>(r)] == RiderState::kQueued) {
     queued_.erase(std::remove(queued_.begin(), queued_.end(), r),
                   queued_.end());
+    ForgetEvaluations(r);
     state_[static_cast<size_t>(r)] = RiderState::kCancelled;
     log_.push_back({e.time, EventType::kCancelled, r, -1});
     ++metrics_.total_cancelled;
@@ -768,6 +770,7 @@ void DispatchEngine::HandleExpire(const Pending& e) {
     return;
   }
   queued_.erase(std::remove(queued_.begin(), queued_.end(), r), queued_.end());
+  ForgetEvaluations(r);
   state_[static_cast<size_t>(r)] = RiderState::kExpired;
   log_.push_back({e.time, EventType::kExpired, r, -1});
   ++metrics_.total_expired;
@@ -920,9 +923,14 @@ void DispatchEngine::Redispatch(RiderId rider, Cost t) {
 }
 
 void DispatchEngine::Abandon(RiderId rider, Cost t) {
+  ForgetEvaluations(rider);
   state_[static_cast<size_t>(rider)] = RiderState::kAbandoned;
   log_.push_back({t, EventType::kAbandoned, rider, -1});
   ++metrics_.total_abandoned;
+}
+
+void DispatchEngine::ForgetEvaluations(RiderId rider) {
+  eval_cache_.EraseRider(rider, static_cast<int>(instance_.vehicles.size()));
 }
 
 void DispatchEngine::Unbook(RiderId rider) {
@@ -1091,6 +1099,7 @@ Status DispatchEngine::SolveWindow(Cost t) {
 }
 
 void DispatchEngine::CommitRider(Cost t, RiderId rider, int vehicle) {
+  ForgetEvaluations(rider);
   state_[static_cast<size_t>(rider)] = RiderState::kAssigned;
   log_.push_back({t, EventType::kAssigned, rider, vehicle});
   // Booked utility: the rider's μ in the schedule as committed. Later

@@ -65,11 +65,6 @@ struct EngineConfig {
   /// Seed of the engine-owned Rng (BA's random rider order); part of the
   /// replay identity.
   uint64_t seed = 7;
-  /// Cross-window evaluation cache: window solves reuse CandidateEval
-  /// entries for (rider, vehicle) pairs whose schedule has not mutated
-  /// since the last window. Pure memoization — the event log and final
-  /// fleet state are byte-identical with the cache on or off.
-  bool use_eval_cache = true;
   /// Options for the GBS solvers; `base` is overridden to match `solver`.
   GbsOptions gbs;
   /// Optional externally cached GBS preprocessing (rider-independent
@@ -199,6 +194,9 @@ class DispatchEngine {
   int queue_depth() const { return static_cast<int>(queued_.size()); }
   /// True once FinishLive() (or Run()) completed.
   bool finished() const { return finished_; }
+  /// Entries held by the cross-window eval cache. Only queued riders keep
+  /// entries, so this is 0 once the queue has drained.
+  size_t eval_cache_entries() const { return eval_cache_.size(); }
 
   /// Serializes the full live state — clock, queues, fleet schedules,
   /// pending events, RNG stream, disruption overlay, log prefix — as a
@@ -338,6 +336,9 @@ class DispatchEngine {
   /// backoff capped by remaining pickup slack, or abandons them.
   void Redispatch(RiderId rider, Cost t);
   void Abandon(RiderId rider, Cost t);
+  /// Drops the rider's eval-cache entries once it leaves the queue for
+  /// good (assigned, expired, cancelled, rejected or abandoned).
+  void ForgetEvaluations(RiderId rider);
   /// Removes the rider's booked utility and assignment (fault repair).
   void Unbook(RiderId rider);
   Status SolveWindow(Cost t);
@@ -364,7 +365,11 @@ class DispatchEngine {
   std::unique_ptr<DisruptionOverlay> overlay_;
   std::shared_ptr<WorkerOracleSet> overlay_worker_set_;
   UrrSolution solution_;
-  EvalCache eval_cache_;     // cross-window memo (wired when use_eval_cache)
+  // Cross-window memo: window solves reuse CandidateEval entries for
+  // (rider, vehicle) pairs whose schedule has not mutated since the last
+  // window. Pure memoization, so the event log and final fleet state do
+  // not depend on it (a restored engine starts with it empty).
+  EvalCache eval_cache_;
   EvalCounters counters_;    // eval-path counters, flushed into metrics_
   // Spatio-temporal candidate index (wired when config.use_st_index and the
   // network has coordinates) plus the retrieval counters recorded on both

@@ -19,43 +19,18 @@ namespace urr {
 
 class ThreadPool;
 
-/// How the contraction order is chosen.
-enum class ChOrderStrategy {
-  /// Currently kParallelRounds: deterministic at any thread count and the
-  /// only strategy that parallelizes, so it serves both the serial and the
-  /// pooled build path.
-  kAuto,
-  /// Classic lazy edge-difference / deleted-neighbors priority queue.
-  /// Inherently sequential (every contraction reorders the heap).
-  kPriority,
-  /// Recursive geometric bisection; separator nodes contract last.
-  /// Opt-in: reasonable only for networks below a few thousand nodes.
-  kGeometric,
-  /// Independent-set rounds (stbuehler/ch_constructor style): each round
-  /// freezes the overlay, computes node priorities in parallel, contracts
-  /// every node whose (priority, id) is a strict local minimum among its
-  /// uncontracted neighbors, and applies the resulting shortcuts serially
-  /// in (priority, id) order. Every per-node computation is a pure function
-  /// of the frozen round state, so the contraction order, shortcut set and
-  /// final arrays are bit-identical at any thread count — including the
-  /// serial (pool == nullptr) execution.
-  kParallelRounds,
-};
-
-/// Build-time tuning knobs.
+/// Build options. The contraction order is fixed: independent-set rounds
+/// (stbuehler/ch_constructor style). Each round freezes the overlay,
+/// computes node priorities in parallel, contracts every node whose
+/// (priority, id) is a strict local minimum among its uncontracted
+/// neighbors, and applies the resulting shortcuts serially in (priority, id)
+/// order. Every per-node computation is a pure function of the frozen round
+/// state, so the contraction order, shortcut set and final arrays are
+/// bit-identical at any thread count, including the serial build.
 struct ChOptions {
-  /// Settle cap for witness searches; higher = fewer redundant shortcuts,
-  /// slower build. Correctness does not depend on it.
-  int witness_settle_limit = 256;
-  /// Weight of the edge-difference term in the node priority.
-  int edge_difference_weight = 8;
-  /// Weight of the deleted-neighbors term (keeps contraction uniform).
-  int deleted_neighbors_weight = 2;
-  ChOrderStrategy order = ChOrderStrategy::kAuto;
-  /// Worker pool for the kParallelRounds build (and the hub-label
-  /// extraction layered on top). Null or single-threaded = serial
-  /// execution of the identical algorithm; the built hierarchy is
-  /// bit-identical either way. Borrowed, not owned.
+  /// Worker pool for the contraction rounds (and the hub-label extraction
+  /// layered on top). Null or single-threaded = serial execution of the
+  /// identical algorithm. Borrowed, not owned.
   ThreadPool* pool = nullptr;
 };
 

@@ -1,4 +1,4 @@
-// Cross-window candidate-evaluation cache. EvaluateInsertion is a pure
+// Cross-window candidate-evaluation cache. EvaluateCandidate is a pure
 // function of (rider trip, vehicle schedule), and TransferSequence stamps a
 // process-unique version on every content mutation — so a CandidateEval
 // keyed by (rider, vehicle, schedule-version) stays valid until the vehicle
@@ -79,6 +79,15 @@ class EvalCache {
       return;
     }
     map_[key] = Entry{version, epoch, has_utility, eval};
+  }
+
+  /// Drops every entry of `rider` (vehicles 0 .. num_vehicles-1). The
+  /// engine calls it when a rider leaves the queue, which bounds the map by
+  /// the queued riders instead of every rider ever evaluated.
+  void EraseRider(RiderId rider, int num_vehicles) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (map_.empty()) return;
+    for (int j = 0; j < num_vehicles; ++j) map_.erase(Key(rider, j));
   }
 
   void Clear() {

@@ -48,7 +48,7 @@ void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
   // ST index attached the per-rider screens fan out over the context's
   // pool, otherwise the reverse Dijkstras run serially; either way each
   // rider's list is the same set in ascending-id order. The independent
-  // EvaluateInsertion calls — the dominant cost of the refill — are
+  // EvaluateCandidate calls — the dominant cost of the refill — are
   // batched and fanned out as before. Pairs enter the queue in rider order
   // then candidate order, so the heap (and therefore every later pop and
   // tie-break) is identical for any thread count and retrieval path.

@@ -84,86 +84,39 @@ UrrSolution MakeEmptySolution(const UrrInstance& instance,
 
 namespace {
 
-/// Core of the legacy copy-based EvaluateInsertion on a schedule whose
-/// oracle is safe to query from the calling thread. Uses the copy-based
-/// kernel throughout, so this path is the genuine baseline the zero-copy
-/// kernel is differential-tested (and benchmarked) against.
-CandidateEval EvaluateInsertionOn(const UrrInstance& instance,
-                                  const UtilityModel& model,
-                                  const TransferSequence& seq, RiderId i, int j,
-                                  bool need_utility) {
-  CandidateEval eval;
-  Result<InsertionPlan> plan =
-      FindBestInsertionCopy(seq, instance.Trip(i), &eval.capacity_blocked);
-  if (!plan.ok()) return eval;
-  eval.feasible = true;
-  eval.plan = *plan;
-  eval.delta_cost = plan->delta_cost;
-  if (need_utility) {
-    TransferSequence trial = seq;
-    if (!ApplyInsertion(&trial, instance.Trip(i), *plan).ok()) {
-      eval.feasible = false;
-      return eval;
-    }
-    eval.delta_utility =
-        model.ScheduleUtility(j, trial) - model.ScheduleUtility(j, seq);
-  }
-  return eval;
-}
-
-/// Zero-copy evaluation: the schedule is read through a ScheduleView (with
-/// the oracle re-pointed as a view field instead of cloning the schedule),
-/// the scratch kernel finds the plan, and the utility delta is computed on
-/// a scratch-built trial view. Every arithmetic step mirrors the copy path
-/// bit-for-bit; `screen` additionally elides provably futile oracle queries
-/// without changing any result.
-CandidateEval EvaluateInsertionZeroCopy(const UtilityModel& model,
-                                        const TransferSequence& seq, int j,
-                                        const RiderTrip& trip,
-                                        bool need_utility,
-                                        DistanceOracle* eval_oracle,
-                                        const InsertionScreen* screen,
-                                        InsertionScratch* scratch) {
-  ScheduleView view = seq.View();
-  if (eval_oracle != nullptr) view.oracle = eval_oracle;
-  CandidateEval eval;
-  Result<InsertionPlan> plan = FindBestInsertionScratch(
-      view, trip, &eval.capacity_blocked, screen, scratch);
-  if (!plan.ok()) return eval;
-  eval.feasible = true;
-  eval.plan = *plan;
-  eval.delta_cost = plan->delta_cost;
-  if (need_utility) {
-    const ScheduleView trial = BuildTrialView(view, trip, *plan, scratch);
-    eval.delta_utility =
-        model.ScheduleUtility(j, trial) - model.ScheduleUtility(j, view);
-  }
-  return eval;
-}
-
-/// Kernel dispatch honoring the context toggles (no cache involvement).
+/// Kernel evaluation, no cache involvement. The schedule is read through a
+/// ScheduleView (with the oracle re-pointed as a view field instead of
+/// cloning the schedule), the scratch kernel finds the plan with Euclidean
+/// screening wherever InsertionScreen::enabled(), and the utility delta is
+/// computed on a scratch-built trial view. Screening only elides provably
+/// futile oracle queries, so no result depends on it.
 CandidateEval EvaluateWithContext(const UrrInstance& instance,
                                   const SolverContext* ctx,
                                   const UrrSolution& sol, RiderId i, int j,
                                   bool need_utility,
                                   DistanceOracle* eval_oracle) {
-  if (ctx->counters != nullptr) {
-    ctx->counters->kernel_evals.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!ctx->zero_copy_kernel) {
-    return EvaluateInsertion(instance, *ctx->model, sol, i, j, need_utility,
-                             eval_oracle);
-  }
-  InsertionScreen screen{instance.network, ctx->euclid_speed};
-  const InsertionScreen* scr =
-      ctx->bound_screening && screen.enabled() ? &screen : nullptr;
+  const InsertionScreen screen{instance.network, ctx->euclid_speed};
   InsertionScratch& scratch = ThreadLocalScratch<InsertionScratch>();
   const uint64_t elided0 = scratch.elided_queries;
   const uint64_t screened0 = scratch.screened_pairs;
-  CandidateEval eval = EvaluateInsertionZeroCopy(
-      *ctx->model, sol.schedules[static_cast<size_t>(j)], j,
-      instance.Trip(i), need_utility, eval_oracle, scr, &scratch);
+  ScheduleView view = sol.schedules[static_cast<size_t>(j)].View();
+  if (eval_oracle != nullptr) view.oracle = eval_oracle;
+  const RiderTrip trip = instance.Trip(i);
+  CandidateEval eval;
+  Result<InsertionPlan> plan = FindBestInsertionScratch(
+      view, trip, &eval.capacity_blocked, &screen, &scratch);
+  if (plan.ok()) {
+    eval.feasible = true;
+    eval.plan = *plan;
+    eval.delta_cost = plan->delta_cost;
+    if (need_utility) {
+      const ScheduleView trial = BuildTrialView(view, trip, *plan, &scratch);
+      eval.delta_utility = ctx->model->ScheduleUtility(j, trial) -
+                           ctx->model->ScheduleUtility(j, view);
+    }
+  }
   if (ctx->counters != nullptr) {
+    ctx->counters->kernel_evals.fetch_add(1, std::memory_order_relaxed);
     ctx->counters->elided_queries.fetch_add(
         scratch.elided_queries - elided0, std::memory_order_relaxed);
     ctx->counters->screened_pairs.fetch_add(
@@ -171,10 +124,6 @@ CandidateEval EvaluateWithContext(const UrrInstance& instance,
   }
   return eval;
 }
-
-}  // namespace
-
-namespace {
 
 uint64_t PairKey(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
@@ -305,22 +254,6 @@ bool PrefetchWaveDistances(const UrrInstance& instance, const UrrSolution& sol,
 }
 
 }  // namespace
-
-CandidateEval EvaluateInsertion(const UrrInstance& instance,
-                                const UtilityModel& model,
-                                const UrrSolution& sol, RiderId i, int j,
-                                bool need_utility, DistanceOracle* eval_oracle) {
-  const TransferSequence& seq = sol.schedules[static_cast<size_t>(j)];
-  if (eval_oracle == nullptr || eval_oracle == seq.oracle()) {
-    return EvaluateInsertionOn(instance, model, seq, i, j, need_utility);
-  }
-  // Worker thread: evaluate a copy re-pointed at the worker's oracle, so
-  // the shared oracle is never queried here. Distances (and therefore the
-  // result) are identical by the Clone contract.
-  TransferSequence local = seq;
-  local.set_oracle(eval_oracle);
-  return EvaluateInsertionOn(instance, model, local, i, j, need_utility);
-}
 
 CandidateEval EvaluateCandidate(const UrrInstance& instance,
                                 const SolverContext* ctx,

@@ -80,15 +80,6 @@ struct SolverContext {
   /// many-to-many batches up front instead of thousands of scalar queries.
   /// Values are identical either way, so this is purely a throughput knob.
   bool batch_eval = true;
-  /// Use the zero-copy scratch kernel for candidate evaluation (default).
-  /// false falls back to the legacy copy-based kernel; results are
-  /// bit-identical either way (differential-tested).
-  bool zero_copy_kernel = true;
-  /// Apply Euclidean lower-bound screening inside the insertion kernel
-  /// (requires euclid_speed > 0 and network coordinates). Screening only
-  /// elides oracle queries whose outcome the bound already decides, so
-  /// results are bit-identical on/off.
-  bool bound_screening = true;
   /// Optional (rider, vehicle, schedule-version) evaluation cache shared
   /// across solver calls — the engine attaches one so unchanged vehicles
   /// are not re-evaluated every window. Borrowed; nullptr disables.
@@ -159,38 +150,31 @@ struct CandidateEval {
   Cost delta_cost = kInfiniteCost;
 };
 
-/// Evaluates the best insertion of rider `i` into vehicle `j`'s schedule in
-/// `sol` (Algorithm 1 + full utility delta). Does not mutate anything.
-/// `need_utility=false` skips the Δμ computation (the CF baseline only
-/// needs Δcost, which is what makes it the cheapest method).
-/// `eval_oracle`, when non-null and different from the schedule's own
-/// oracle, is used for every distance query of this evaluation (the
-/// schedule is copied and re-pointed) — this is how worker threads evaluate
-/// candidates without touching the shared oracle. Same values either way.
-CandidateEval EvaluateInsertion(const UrrInstance& instance,
-                                const UtilityModel& model,
-                                const UrrSolution& sol, RiderId i, int j,
-                                bool need_utility = true,
-                                DistanceOracle* eval_oracle = nullptr);
-
 /// One rider-vehicle candidate pair of a batch evaluation.
 struct RiderVehiclePair {
   RiderId rider = -1;
   int vehicle = -1;
 };
 
-/// Context-aware single-pair evaluation: consults ctx->eval_cache (keyed by
-/// the schedule's version), then runs the kernel selected by
-/// ctx->zero_copy_kernel with ctx->bound_screening applied, updating
-/// ctx->counters. Results are bit-identical to EvaluateInsertion for every
-/// toggle combination. This is the entry point all solvers use.
+/// Evaluates the best insertion of rider `i` into vehicle `j`'s schedule in
+/// `sol` (Algorithm 1 + full utility delta μ(S') - μ(S) over all riders of
+/// the vehicle). Does not mutate anything. `need_utility=false` skips the
+/// Δμ computation (the CF baseline only needs Δcost, which is what makes it
+/// the cheapest method). Consults ctx->eval_cache (keyed by the schedule's
+/// version), then runs the zero-copy kernel with Euclidean screening
+/// whenever the network and ctx->euclid_speed allow it, updating
+/// ctx->counters. `eval_oracle`, when non-null, answers every distance
+/// query of the kernel instead of the schedule's own oracle — this is how
+/// worker threads evaluate candidates without touching the shared oracle.
+/// Results are bit-identical with and without the cache, screening or a
+/// worker oracle. This is the entry point all solvers use.
 CandidateEval EvaluateCandidate(const UrrInstance& instance,
                                 const SolverContext* ctx,
                                 const UrrSolution& sol, RiderId i, int j,
                                 bool need_utility,
                                 DistanceOracle* eval_oracle = nullptr);
 
-/// Evaluates EvaluateInsertion over every pair, fanning out on
+/// Runs EvaluateCandidate over every pair, fanning out on
 /// ctx->eval_pool() when available. Output slot k always corresponds to
 /// pairs[k] and holds exactly what a serial loop would have produced, so
 /// callers that consume the results in index order are bit-identical to

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -55,7 +56,83 @@ void ExpectDistanceEq(Cost got, Cost want, NodeId s, NodeId t) {
   }
 }
 
-class ChOrderTest : public ::testing::TestWithParam<ChOrderStrategy> {};
+// The one contraction order breaks (priority, id) ties by node id, so the
+// numbering of the input steers which hierarchy gets built. Each case
+// renumbers the graph first and then checks the hierarchy against Dijkstra.
+enum class InputNumbering {
+  kAsGenerated,  // ids as the generator emitted them
+  kPriority,     // ascending degree: ties go to the nodes a priority
+                 // order contracts first
+  kGeometric,    // nested dissection of the coordinates: separators get
+                 // the highest ids, so they lose ties and contract last
+};
+
+/// Appends `set` to `seq` in nested-dissection order: recursively bisect on
+/// the wider coordinate axis and emit the ~sqrt(|set|) nodes nearest the
+/// median after both halves.
+void AppendNestedDissection(const RoadNetwork& g, std::vector<NodeId> set,
+                            std::vector<NodeId>* seq) {
+  if (set.size() <= 16) {
+    seq->insert(seq->end(), set.begin(), set.end());
+    return;
+  }
+  double min_x = 1e300, max_x = -1e300, min_y = 1e300, max_y = -1e300;
+  for (NodeId v : set) {
+    min_x = std::min(min_x, g.coord(v).x);
+    max_x = std::max(max_x, g.coord(v).x);
+    min_y = std::min(min_y, g.coord(v).y);
+    max_y = std::max(max_y, g.coord(v).y);
+  }
+  const bool by_x = (max_x - min_x) >= (max_y - min_y);
+  std::sort(set.begin(), set.end(), [&](NodeId a, NodeId b) {
+    const double ka = by_x ? g.coord(a).x : g.coord(a).y;
+    const double kb = by_x ? g.coord(b).x : g.coord(b).y;
+    return ka != kb ? ka < kb : a < b;
+  });
+  const size_t n = set.size();
+  const size_t sep = static_cast<size_t>(std::sqrt(static_cast<double>(n)));
+  const size_t lo = n / 2 - sep / 2;
+  AppendNestedDissection(g, {set.begin(), set.begin() + lo}, seq);
+  AppendNestedDissection(g, {set.begin() + lo + sep, set.end()}, seq);
+  seq->insert(seq->end(), set.begin() + lo, set.begin() + lo + sep);
+}
+
+/// `g` with its nodes renumbered per `numbering` (edges and coordinates
+/// follow their nodes).
+RoadNetwork Renumber(const RoadNetwork& g, InputNumbering numbering) {
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> seq(static_cast<size_t>(n));  // new id -> old id
+  for (NodeId v = 0; v < n; ++v) seq[static_cast<size_t>(v)] = v;
+  if (numbering == InputNumbering::kPriority) {
+    auto degree = [&](NodeId v) {
+      return g.OutNeighbors(v).size() + g.InNeighbors(v).size();
+    };
+    std::stable_sort(seq.begin(), seq.end(), [&](NodeId a, NodeId b) {
+      return degree(a) < degree(b);
+    });
+  } else if (numbering == InputNumbering::kGeometric) {
+    std::vector<NodeId> all = std::move(seq);
+    seq.clear();
+    AppendNestedDissection(g, std::move(all), &seq);
+  }
+  std::vector<NodeId> id(static_cast<size_t>(n));  // old id -> new id
+  std::vector<Coord> coords(g.coords().size());
+  for (NodeId k = 0; k < n; ++k) {
+    const NodeId v = seq[static_cast<size_t>(k)];
+    id[static_cast<size_t>(v)] = k;
+    if (g.has_coords()) coords[static_cast<size_t>(k)] = g.coord(v);
+  }
+  std::vector<Edge> edges = g.EdgeList();
+  for (Edge& e : edges) {
+    e.from = id[static_cast<size_t>(e.from)];
+    e.to = id[static_cast<size_t>(e.to)];
+  }
+  auto out = RoadNetwork::Build(n, std::move(edges), std::move(coords));
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(*out);
+}
+
+class ChOrderTest : public ::testing::TestWithParam<InputNumbering> {};
 
 TEST_P(ChOrderTest, MatchesDijkstraOnRandomGrid) {
   Rng rng(42);
@@ -64,25 +141,23 @@ TEST_P(ChOrderTest, MatchesDijkstraOnRandomGrid) {
   opt.height = 14;
   opt.keep_probability = 0.85;
   opt.arterial_fraction = 0.03;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  ChOptions copt;
-  copt.order = GetParam();
-  auto ch = ContractionHierarchy::Build(*g, copt);
+  auto generated = GenerateGridCity(opt, &rng);
+  ASSERT_TRUE(generated.ok());
+  const RoadNetwork g = Renumber(*generated, GetParam());
+  auto ch = ContractionHierarchy::Build(g);
   ASSERT_TRUE(ch.ok());
   ChQuery q(*ch);
-  DijkstraEngine ref(*g);
+  DijkstraEngine ref(g);
   for (int trial = 0; trial < 300; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1));
+    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1));
     ExpectDistanceEq(q.Distance(s, t), ref.Distance(s, t), s, t);
   }
 }
 
 TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
-  // Random sparse directed graph (no coordinate crutch for geometric order:
-  // kGeometric falls back to priority when coords are missing via kAuto, so
-  // build coords anyway but keep edges one-way).
+  // Random sparse directed graph: edges are one-way, so the upward and
+  // downward halves of the hierarchy differ.
   Rng rng(43);
   const NodeId n = 120;
   std::vector<Edge> edges;
@@ -96,14 +171,13 @@ TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
       if (w != v) edges.push_back({v, w, rng.Uniform(1, 10)});
     }
   }
-  auto g = RoadNetwork::Build(n, edges, coords);
-  ASSERT_TRUE(g.ok());
-  ChOptions copt;
-  copt.order = GetParam();
-  auto ch = ContractionHierarchy::Build(*g, copt);
+  auto generated = RoadNetwork::Build(n, edges, coords);
+  ASSERT_TRUE(generated.ok());
+  const RoadNetwork g = Renumber(*generated, GetParam());
+  auto ch = ContractionHierarchy::Build(g);
   ASSERT_TRUE(ch.ok());
   ChQuery q(*ch);
-  DijkstraEngine ref(*g);
+  DijkstraEngine ref(g);
   for (int trial = 0; trial < 400; ++trial) {
     const NodeId s = static_cast<NodeId>(rng.UniformInt(0, n - 1));
     const NodeId t = static_cast<NodeId>(rng.UniformInt(0, n - 1));
@@ -112,12 +186,18 @@ TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, ChOrderTest,
-                         ::testing::Values(ChOrderStrategy::kPriority,
-                                           ChOrderStrategy::kGeometric),
+                         ::testing::Values(InputNumbering::kAsGenerated,
+                                           InputNumbering::kPriority,
+                                           InputNumbering::kGeometric),
                          [](const auto& info) {
-                           return info.param == ChOrderStrategy::kPriority
-                                      ? "Priority"
-                                      : "Geometric";
+                           switch (info.param) {
+                             case InputNumbering::kPriority:
+                               return "Priority";
+                             case InputNumbering::kGeometric:
+                               return "Geometric";
+                             default:
+                               return "AsGenerated";
+                           }
                          });
 
 TEST(ChTest, PathUnpacksToOriginalEdges) {
@@ -201,14 +281,6 @@ TEST(ChTest, DisconnectedComponents) {
   EXPECT_EQ(q.Distance(0, 3), kInfiniteCost);
 }
 
-TEST(ChTest, RejectsBadOptions) {
-  auto g = RoadNetwork::Build(2, {{0, 1, 1}});
-  ASSERT_TRUE(g.ok());
-  ChOptions opt;
-  opt.witness_settle_limit = 0;
-  EXPECT_FALSE(ContractionHierarchy::Build(*g, opt).ok());
-}
-
 TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
   Rng rng(77);
   GridCityOptions opt;
@@ -256,9 +328,7 @@ TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
   auto q = RoadNetwork::Build(g->num_nodes(), std::move(edges), g->coords());
   ASSERT_TRUE(q.ok());
 
-  ChOptions options;
-  options.order = ChOrderStrategy::kParallelRounds;
-  auto ch = ContractionHierarchy::Build(*q, options);
+  auto ch = ContractionHierarchy::Build(*q);
   ASSERT_TRUE(ch.ok());
   ChQuery query(*ch);
   DijkstraEngine ref(*q);

@@ -26,6 +26,9 @@ struct RunResult {
   std::string log;
   std::string fingerprint;
   int accepted = 0;
+  int64_t cache_hits = 0;
+  int64_t kernel_evals = 0;
+  size_t cache_entries = 0;  // eval-cache entries left after Run()
 };
 
 RunResult RunEngine(ExperimentWorld* world, const StreamingWorkload& workload,
@@ -38,14 +41,22 @@ RunResult RunEngine(ExperimentWorld* world, const StreamingWorkload& workload,
   const Status st = engine.Run();
   EXPECT_TRUE(st.ok()) << st;
   return {engine.SerializedLog(), engine.SolutionFingerprint(),
-          engine.metrics().total_accepted};
+          engine.metrics().total_accepted, engine.metrics().eval_cache_hits,
+          engine.metrics().kernel_evals, engine.eval_cache_entries()};
 }
 
+// Contract 1, with the evaluation path in its production shape: the
+// zero-copy kernel, bound screening and the engine's cross-window eval
+// cache. The log and final fleet state are byte-identical at 1, 2 and 8
+// threads; the cache scores hits across windows (queued riders persist)
+// and forgets every rider once the queue has drained.
 TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossThreadCounts) {
   for (WindowSolver solver :
        {WindowSolver::kEfficientGreedy, WindowSolver::kBilateral}) {
     RunResult baseline;
     for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(WindowSolverName(solver)) + " @ " +
+                   std::to_string(threads) + " threads");
       auto world = BuildWorld(SmallConfig(threads));
       ASSERT_TRUE(world.ok()) << world.status();
       // Same seed at every thread count → the same workload.
@@ -59,24 +70,30 @@ TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossThreadCounts) {
       cfg.window = 20;
       cfg.solver = solver;
       const RunResult run = RunEngine(world->get(), workload, cfg);
+      EXPECT_GT(run.cache_hits, 0);
+      EXPECT_GT(run.kernel_evals, 0);
+      EXPECT_EQ(run.cache_entries, 0u);
       if (threads == 1) {
         baseline = run;
         EXPECT_FALSE(baseline.log.empty());
       } else {
-        EXPECT_EQ(run.log, baseline.log)
-            << WindowSolverName(solver) << " @ " << threads << " threads";
-        EXPECT_EQ(run.fingerprint, baseline.fingerprint)
-            << WindowSolverName(solver) << " @ " << threads << " threads";
+        EXPECT_EQ(run.log, baseline.log);
+        EXPECT_EQ(run.fingerprint, baseline.fingerprint);
+        // Cache traffic is a function of the (identical) decision sequence.
+        EXPECT_EQ(run.cache_hits, baseline.cache_hits);
+        EXPECT_EQ(run.kernel_evals, baseline.kernel_evals);
       }
     }
   }
 }
 
-// Contract 4: the evaluation-path features — cross-window eval cache,
-// zero-copy kernel, bound screening — are pure optimizations. Toggling any
-// of them off must leave the event log and the final fleet state
-// byte-identical, at 1, 2 and 8 threads, and the cache must actually
-// score hits across windows when enabled.
+// Contract 4: the evaluation-path knobs that remain settable — batched
+// many-to-many distance prefetch (SolverContext::batch_eval) and the
+// Euclidean lower bound behind both the candidate prefilter and the
+// kernel's bound screening (SolverContext::euclid_speed; 0 switches them
+// off) — are pure optimizations. Toggling either must leave the event log
+// and the final fleet state byte-identical at 1, 2 and 8 threads, with the
+// engine's eval cache scoring hits and draining in every combination.
 TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossEvalToggles) {
   for (WindowSolver solver :
        {WindowSolver::kEfficientGreedy, WindowSolver::kBilateral}) {
@@ -91,51 +108,46 @@ TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossEvalToggles) {
       opt.cancel_fraction = 0.3;
       const StreamingWorkload workload =
           MakeStreamingWorkload((*world)->instance, opt, &rng);
-      struct Toggle {
-        bool cache, zero_copy, screen;
-      };
-      for (const Toggle& t : {Toggle{false, false, false},
-                              Toggle{true, false, false},
-                              Toggle{false, true, true},
-                              Toggle{true, true, true}}) {
-        SCOPED_TRACE(std::string(WindowSolverName(solver)) + " threads=" +
-                     std::to_string(threads) + " cache=" +
-                     std::to_string(t.cache) + " zc=" +
-                     std::to_string(t.zero_copy) + " screen=" +
-                     std::to_string(t.screen));
-        UtilityModel model(
-            &workload.instance,
-            UtilityParams{(*world)->config.alpha, (*world)->config.beta});
-        SolverContext ctx = (*world)->Context();
-        ctx.model = &model;
-        ctx.zero_copy_kernel = t.zero_copy;
-        ctx.bound_screening = t.screen;
-        EngineConfig cfg;
-        cfg.window = 20;
-        cfg.solver = solver;
-        cfg.use_eval_cache = t.cache;
-        DispatchEngine engine(&workload, &ctx, cfg);
-        const Status st = engine.Run();
-        ASSERT_TRUE(st.ok()) << st;
-        const RunResult run = {engine.SerializedLog(),
-                               engine.SolutionFingerprint(),
-                               engine.metrics().total_accepted};
-        if (!have_baseline) {
-          baseline = run;
-          have_baseline = true;
-          EXPECT_FALSE(baseline.log.empty());
-        } else {
-          EXPECT_EQ(run.log, baseline.log);
-          EXPECT_EQ(run.fingerprint, baseline.fingerprint);
+      for (bool batch : {false, true}) {
+        for (bool screen : {false, true}) {
+          SCOPED_TRACE(std::string(WindowSolverName(solver)) + " threads=" +
+                       std::to_string(threads) + " batch=" +
+                       std::to_string(batch) + " screen=" +
+                       std::to_string(screen));
+          UtilityModel model(
+              &workload.instance,
+              UtilityParams{(*world)->config.alpha, (*world)->config.beta});
+          SolverContext ctx = (*world)->Context();
+          ASSERT_GT(ctx.euclid_speed, 0);
+          ctx.model = &model;
+          ctx.batch_eval = batch;
+          if (!screen) ctx.euclid_speed = 0;
+          EngineConfig cfg;
+          cfg.window = 20;
+          cfg.solver = solver;
+          DispatchEngine engine(&workload, &ctx, cfg);
+          const Status st = engine.Run();
+          ASSERT_TRUE(st.ok()) << st;
+          const RunResult run = {engine.SerializedLog(),
+                                 engine.SolutionFingerprint(),
+                                 engine.metrics().total_accepted,
+                                 engine.metrics().eval_cache_hits,
+                                 engine.metrics().kernel_evals,
+                                 engine.eval_cache_entries()};
+          if (!have_baseline) {
+            baseline = run;
+            have_baseline = true;
+            EXPECT_FALSE(baseline.log.empty());
+          } else {
+            EXPECT_EQ(run.log, baseline.log);
+            EXPECT_EQ(run.fingerprint, baseline.fingerprint);
+          }
+          // The queue of retried riders spans windows, so a multi-window
+          // run must reuse cached evaluations.
+          EXPECT_GT(run.cache_hits, 0);
+          EXPECT_GT(run.kernel_evals, 0);
+          EXPECT_EQ(run.cache_entries, 0u);
         }
-        if (t.cache) {
-          // The queue of retried riders spans windows, so a multi-window run
-          // must reuse cached evaluations.
-          EXPECT_GT(engine.metrics().eval_cache_hits, 0);
-        } else {
-          EXPECT_EQ(engine.metrics().eval_cache_hits, 0);
-        }
-        EXPECT_GT(engine.metrics().kernel_evals, 0);
       }
     }
   }

@@ -1,19 +1,21 @@
 // Evaluation-path contract suite for the zero-copy kernel, the
 // cross-window eval cache and bound screening:
 //   1. FindBestInsertionScratch (with and without screening) is
-//      bit-identical to the legacy copy kernel and agrees with brute force,
+//      bit-identical to the tests-only copy kernel and agrees with brute
+//      force,
 //   2. BuildTrialView reproduces the applied schedule field for field,
 //   3. the steady-state EvaluateCandidates path makes zero TransferSequence
-//      copies, while the legacy kernel provably does copy,
+//      copies, while the reference evaluation provably does copy,
 //   4. schedule versions stamp exactly the observable mutations, which is
 //      what makes (rider, vehicle, version) a safe cache key,
-//   5. EvalCache lookup/store need_utility semantics,
+//   5. EvalCache lookup/store need_utility semantics and per-rider erase,
 //   6. GroupCandidatesForRider's key-vertex and Euclidean rejection
 //      branches drop only provably infeasible vehicles.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "reference_insertion.h"
 #include "urr/eval_cache.h"
 #include "urr/solution.h"
 
@@ -74,7 +76,7 @@ TEST(EvalPathTest, ScratchKernelMatchesCopyKernelBitForBit) {
       bool cb_copy = false;
       bool cb_plain = false;
       bool cb_screened = false;
-      const auto copy = FindBestInsertionCopy(seq, trip, &cb_copy);
+      const auto copy = reference::FindBestInsertionCopy(seq, trip, &cb_copy);
       const ScheduleView view = seq.View();
       const uint64_t pq0 = plain_scratch.oracle_queries;
       const auto plain = FindBestInsertionScratch(view, trip, &cb_plain,
@@ -195,21 +197,21 @@ TEST_F(EvalPathFixture, SteadyStateEvaluationMakesZeroCopies) {
   EXPECT_TRUE(evals[1].feasible);
   EXPECT_EQ(counters.kernel_evals.load(), 2u);
 
-  // The legacy kernel really is the copying baseline: same values, copies.
-  EvalCounters legacy_counters;
-  SolverContext legacy = Context();
-  legacy.counters = &legacy_counters;
-  legacy.zero_copy_kernel = false;
-  const auto legacy_evals =
-      EvaluateCandidates(instance_, &legacy, sol, pairs, true);
+  // The reference evaluation really is the copying baseline: same values,
+  // copies.
+  std::vector<CandidateEval> reference_evals;
+  for (const RiderVehiclePair& p : pairs) {
+    reference_evals.push_back(reference::EvaluateInsertion(
+        instance_, *model_, sol, p.rider, p.vehicle));
+  }
   EXPECT_GT(TransferSequence::CopyCount(), before);
-  ASSERT_EQ(legacy_evals.size(), evals.size());
+  ASSERT_EQ(reference_evals.size(), evals.size());
   for (size_t k = 0; k < evals.size(); ++k) {
-    EXPECT_EQ(legacy_evals[k].feasible, evals[k].feasible);
-    EXPECT_EQ(legacy_evals[k].plan.pickup_pos, evals[k].plan.pickup_pos);
-    EXPECT_EQ(legacy_evals[k].plan.dropoff_pos, evals[k].plan.dropoff_pos);
-    EXPECT_EQ(legacy_evals[k].delta_cost, evals[k].delta_cost);
-    EXPECT_EQ(legacy_evals[k].delta_utility, evals[k].delta_utility);
+    EXPECT_EQ(reference_evals[k].feasible, evals[k].feasible);
+    EXPECT_EQ(reference_evals[k].plan.pickup_pos, evals[k].plan.pickup_pos);
+    EXPECT_EQ(reference_evals[k].plan.dropoff_pos, evals[k].plan.dropoff_pos);
+    EXPECT_EQ(reference_evals[k].delta_cost, evals[k].delta_cost);
+    EXPECT_EQ(reference_evals[k].delta_utility, evals[k].delta_utility);
   }
 }
 
@@ -337,6 +339,26 @@ TEST(EvalCacheTest, LookupRespectsVersionAndUtilityKind) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Lookup(3, 7, 200, false, &out));
+}
+
+TEST(EvalCacheTest, EraseRiderDropsOnlyThatRidersEntries) {
+  EvalCache cache;
+  CandidateEval eval;
+  eval.feasible = true;
+  for (int j = 0; j < 4; ++j) {
+    cache.Store(3, j, 100, /*has_utility=*/true, eval);
+    cache.Store(5, j, 100, /*has_utility=*/true, eval);
+  }
+  ASSERT_EQ(cache.size(), 8u);
+  cache.EraseRider(3, /*num_vehicles=*/4);
+  EXPECT_EQ(cache.size(), 4u);
+  CandidateEval out;
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_FALSE(cache.Lookup(3, j, 100, true, &out));
+    EXPECT_TRUE(cache.Lookup(5, j, 100, true, &out));
+  }
+  cache.EraseRider(9, 4);  // a rider with no entries is a no-op
+  EXPECT_EQ(cache.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------

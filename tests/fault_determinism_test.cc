@@ -115,6 +115,11 @@ TEST(FaultDeterminismTest, RestoredCheckpointReserializesIdentically) {
   DispatchEngine engine(&workload, &ctx, cfg);
   ASSERT_TRUE(engine.Run().ok());
   ASSERT_FALSE(engine.checkpoints().empty());
+  // The uninterrupted run reuses cached evaluations across windows, while
+  // every restored engine starts with an empty cache: identical logs below
+  // make this the cold-versus-warm cache referee.
+  EXPECT_GT(engine.metrics().eval_cache_hits, 0);
+  EXPECT_EQ(engine.eval_cache_entries(), 0u);
   for (size_t k = 0; k < engine.checkpoints().size(); ++k) {
     SCOPED_TRACE("checkpoint " + std::to_string(k));
     SolverContext rctx = (*world)->Context();
@@ -140,6 +145,11 @@ TEST(FaultDeterminismTest, RestoreAtEveryBoundaryReproducesTheRun) {
   DispatchEngine engine(&workload, &ctx, cfg);
   ASSERT_TRUE(engine.Run().ok());
   ASSERT_FALSE(engine.checkpoints().empty());
+  // The uninterrupted run reuses cached evaluations across windows, while
+  // every restored engine starts with an empty cache: identical logs below
+  // make this the cold-versus-warm cache referee.
+  EXPECT_GT(engine.metrics().eval_cache_hits, 0);
+  EXPECT_EQ(engine.eval_cache_entries(), 0u);
   for (size_t k = 0; k < engine.checkpoints().size(); ++k) {
     SCOPED_TRACE("checkpoint " + std::to_string(k));
     SolverContext rctx = (*world)->Context();

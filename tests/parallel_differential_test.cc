@@ -7,6 +7,10 @@
 // (hand-built world, DijkstraOracle, AttachThreadPool wiring), across
 // varying capacities and deadline ranges.
 //
+// Kernel differential: every candidate pair of a solved city fleet, through
+// the production evaluation path at 1 and 8 threads, equals the tests-only
+// copy-based reference kernel (reference_insertion.h) bit for bit.
+//
 // Oracle differential: on quantized-cost grids (every edge cost a multiple
 // of 1/256, so path sums are exact in double arithmetic) the same solves
 // must also be byte-identical across the dijkstra | ch | caching | hl
@@ -21,6 +25,7 @@
 
 #include "exp/harness.h"
 #include "graph/generators.h"
+#include "reference_insertion.h"
 #include "routing/hub_labels.h"
 #include "routing/index_snapshot.h"
 #include "urr/eval_cache.h"
@@ -258,17 +263,11 @@ std::unique_ptr<GridWorld> MakeGridWorld(uint64_t seed, int riders,
   return w;
 }
 
-/// Evaluation-path feature switches for the toggle-matrix contracts. All
-/// three are pure optimizations: any combination must give the same bits.
-struct EvalToggles {
-  bool zero_copy = true;
-  bool screening = true;
-  bool cache = false;  // an EvalCache is attached when true
-};
-
+/// `cache` attaches an EvalCache to the solve: pure memoization, so the
+/// solution bits must not depend on it.
 std::string RunOnGrid(uint64_t seed, int riders, int vehicles, int capacity,
                       Cost deadline_lo, Cost deadline_hi, Variant v,
-                      int threads, EvalToggles toggles = {}) {
+                      int threads, bool cache = false) {
   auto w = MakeGridWorld(seed, riders, vehicles, capacity, deadline_lo,
                          deadline_hi);
   SolverContext ctx;
@@ -277,11 +276,9 @@ std::string RunOnGrid(uint64_t seed, int riders, int vehicles, int capacity,
   ctx.vehicle_index = w->index.get();
   ctx.rng = &w->rng;
   ctx.euclid_speed = w->network.MaxSpeed();
-  ctx.zero_copy_kernel = toggles.zero_copy;
-  ctx.bound_screening = toggles.screening;
-  EvalCache cache;
+  EvalCache eval_cache;
   EvalCounters counters;
-  if (toggles.cache) ctx.eval_cache = &cache;
+  if (cache) ctx.eval_cache = &eval_cache;
   ctx.counters = &counters;
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
@@ -294,9 +291,9 @@ std::string RunOnGrid(uint64_t seed, int riders, int vehicles, int capacity,
   gbs.d_max = 200;
   const UrrSolution sol = SolveVariant(w->instance, &ctx, gbs, v);
   EXPECT_TRUE(sol.Validate(w->instance).ok()) << VariantName(v);
-  if (toggles.cache) {
+  if (cache) {
     // The cache must actually have been exercised (hits + misses > 0) for
-    // the toggle contract to mean anything.
+    // the contract to mean anything.
     EXPECT_GT(counters.cache_hits.load() + counters.cache_misses.load(), 0)
         << VariantName(v);
   }
@@ -330,35 +327,136 @@ TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The tentpole's exactness contract for the evaluation path: the zero-copy
-// scratch kernel, the Euclidean bound screening and the (rider, vehicle,
-// version) eval cache — individually and combined — give byte-identical
-// solutions to the copy-based, unscreened, uncached baseline at 1, 2 and 8
-// threads, for every solver.
+// The eval cache, the one evaluation-path switch a SolverContext still has,
+// gives byte-identical solutions to the uncached serial solve at 1, 2 and 8
+// threads, for every solver. The kernel itself is refereed against the
+// tests-only copy kernel by CityFleetMatchesReferenceKernel below.
 TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossEvalToggles) {
   const uint64_t seed = 11;
   const int riders = 60, vehicles = 12, capacity = 3;
   const Cost lo = 200, hi = 2000;
-  const std::vector<EvalToggles> matrix = {
-      {/*zero_copy=*/true, /*screening=*/false, /*cache=*/false},
-      {/*zero_copy=*/false, /*screening=*/true, /*cache=*/false},
-      {/*zero_copy=*/false, /*screening=*/false, /*cache=*/true},
-      {/*zero_copy=*/true, /*screening=*/true, /*cache=*/true},
-  };
   for (Variant v : AllVariants()) {
     SCOPED_TRACE(VariantName(v));
     const std::string baseline =
-        RunOnGrid(seed, riders, vehicles, capacity, lo, hi, v, 1,
-                  {/*zero_copy=*/false, /*screening=*/false, /*cache=*/false});
+        RunOnGrid(seed, riders, vehicles, capacity, lo, hi, v, 1);
     ASSERT_FALSE(baseline.empty());
-    for (size_t m = 0; m < matrix.size(); ++m) {
-      for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE("toggles=" + std::to_string(m) +
-                     " threads=" + std::to_string(threads));
-        EXPECT_EQ(baseline, RunOnGrid(seed, riders, vehicles, capacity, lo, hi,
-                                      v, threads, matrix[m]));
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("cached, threads=" + std::to_string(threads));
+      EXPECT_EQ(baseline, RunOnGrid(seed, riders, vehicles, capacity, lo, hi,
+                                    v, threads, /*cache=*/true));
+    }
+  }
+}
+
+// --- Production evaluation path vs the tests-only reference kernel. --------
+
+void ExpectSameEval(const CandidateEval& got, const CandidateEval& want) {
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.capacity_blocked, want.capacity_blocked);
+  EXPECT_EQ(got.plan.pickup_pos, want.plan.pickup_pos);
+  EXPECT_EQ(got.plan.dropoff_pos, want.plan.dropoff_pos);
+  EXPECT_EQ(BitsOf(got.plan.delta_cost), BitsOf(want.plan.delta_cost));
+  EXPECT_EQ(BitsOf(got.delta_cost), BitsOf(want.delta_cost));
+  EXPECT_EQ(BitsOf(got.delta_utility), BitsOf(want.delta_utility));
+}
+
+// Every candidate pair of an EG-solved NYC-like fleet, evaluated through
+// the production EvaluateCandidates (zero-copy kernel, bound screening,
+// batched prefetch, worker fan-out, EvalCache) at 1 and 8 threads, must
+// equal the copy-based reference bit for bit: cold, steady (every pair
+// served from the cache) and after churning every 10th vehicle (the
+// re-inserted schedules invalidate exactly those vehicles' entries).
+TEST(ParallelDifferentialTest, CityFleetMatchesReferenceKernel) {
+  ExperimentConfig cfg;
+  cfg.city = CityKind::kNycLike;
+  cfg.city_nodes = 1500;
+  cfg.num_social_users = 600;
+  cfg.num_trip_records = 1500;
+  cfg.num_riders = 300;
+  cfg.num_vehicles = 60;
+  cfg.capacity = 3;
+  cfg.seed = 2017;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.num_threads = threads;
+    auto world_or = BuildWorld(cfg);
+    ASSERT_TRUE(world_or.ok()) << world_or.status();
+    ExperimentWorld& world = **world_or;
+    const UrrInstance& instance = world.instance;
+    SolverContext solve_ctx = world.Context();
+    UrrSolution fleet = SolveEfficientGreedy(instance, &solve_ctx);
+    ASSERT_GT(fleet.NumAssigned(), 0);
+
+    // Every candidate pair a solver could evaluate next. A rider is never
+    // evaluated against the vehicle that already carries it: the trial
+    // would hold two pickups with one rider id, and Rebuild's occupancy
+    // pairing (which the reference reads) describes no real schedule.
+    std::vector<RiderVehiclePair> pairs;
+    for (RiderId i = 0; i < instance.num_riders(); ++i) {
+      for (int j : ValidVehiclesForRider(instance, world.vehicle_index.get(),
+                                         i, nullptr)) {
+        if (fleet.assignment[static_cast<size_t>(i)] != j) {
+          pairs.push_back({i, j});
+        }
       }
     }
+    ASSERT_GT(pairs.size(), 100u);
+
+    EvalCache cache;
+    EvalCounters counters;
+    SolverContext ctx = world.Context();
+    ctx.eval_cache = &cache;
+    ctx.counters = &counters;
+    if (threads > 1) {
+      ASSERT_NE(ctx.eval_pool(), nullptr);
+    }
+
+    enum Pass { kCold, kSteady, kChurn };
+    int churned = 0;
+    for (const Pass pass : {kCold, kSteady, kChurn}) {
+      SCOPED_TRACE(pass == kCold ? "cold" : pass == kSteady ? "steady" : "churn");
+      if (pass == kChurn) {
+        for (size_t j = 0; j < fleet.schedules.size(); j += 10) {
+          TransferSequence& seq = fleet.schedules[j];
+          const std::vector<RiderId> riders = seq.Riders();
+          if (riders.empty() || !seq.RemoveRider(riders.front()).ok()) {
+            continue;
+          }
+          const RiderTrip trip = instance.Trip(riders.front());
+          auto plan = FindBestInsertion(seq, trip);
+          if (plan.ok()) {
+            ASSERT_TRUE(ApplyInsertion(&seq, trip, *plan).ok());
+          }
+          ++churned;
+        }
+        ASSERT_GT(churned, 0);
+      }
+      const uint64_t hits0 = counters.cache_hits.load();
+      const std::vector<CandidateEval> evals =
+          EvaluateCandidates(instance, &ctx, fleet, pairs, true);
+      const uint64_t hits = counters.cache_hits.load() - hits0;
+      if (pass == kCold) {
+        EXPECT_EQ(hits, 0u);
+      } else if (pass == kSteady) {
+        EXPECT_EQ(hits, pairs.size());
+      } else {
+        EXPECT_GT(hits, 0u);
+        EXPECT_LT(hits, pairs.size());
+      }
+      ASSERT_EQ(evals.size(), pairs.size());
+      int feasible = 0;
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        SCOPED_TRACE("rider " + std::to_string(pairs[k].rider) +
+                     " vehicle " + std::to_string(pairs[k].vehicle));
+        ExpectSameEval(evals[k], reference::EvaluateInsertion(
+                                     instance, world.model, fleet,
+                                     pairs[k].rider, pairs[k].vehicle));
+        feasible += evals[k].feasible ? 1 : 0;
+      }
+      EXPECT_GT(feasible, 0);
+    }
+    // Screening must have been live for the comparison to cover it.
+    EXPECT_GT(counters.elided_queries.load(), 0u);
   }
 }
 

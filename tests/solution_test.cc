@@ -72,10 +72,19 @@ TEST_F(SolutionTest, ValidateCatchesMissingSchedule) {
   EXPECT_FALSE(sol.Validate(instance_).ok());
 }
 
+/// The minimal context EvaluateCandidate needs: an oracle and a model.
+SolverContext ContextFor(DistanceOracle* oracle, const UtilityModel* model) {
+  SolverContext ctx;
+  ctx.oracle = oracle;
+  ctx.model = model;
+  return ctx;
+}
+
 TEST_F(SolutionTest, EvaluateInsertionFeasible) {
   UrrSolution sol = MakeEmptySolution(instance_, oracle_.get());
+  const SolverContext ctx = ContextFor(oracle_.get(), model_.get());
   const CandidateEval eval =
-      EvaluateInsertion(instance_, *model_, sol, 0, 0);
+      EvaluateCandidate(instance_, &ctx, sol, 0, 0, /*need_utility=*/true);
   ASSERT_TRUE(eval.feasible);
   EXPECT_DOUBLE_EQ(eval.delta_cost, 30);
   EXPECT_NEAR(eval.delta_utility, 1.0, 1e-9);  // new rider at σ = 1
@@ -86,12 +95,14 @@ TEST_F(SolutionTest, EvaluateInsertionInfeasible) {
   tight.riders[0].pickup_deadline = 5;  // vehicle 0 needs 10 to reach node 1
   UrrSolution sol = MakeEmptySolution(tight, oracle_.get());
   UtilityModel model(&tight, UtilityParams{0, 0});
-  EXPECT_FALSE(EvaluateInsertion(tight, model, sol, 0, 0).feasible);
+  const SolverContext ctx = ContextFor(oracle_.get(), &model);
+  EXPECT_FALSE(EvaluateCandidate(tight, &ctx, sol, 0, 0, true).feasible);
 }
 
 TEST_F(SolutionTest, EvaluateInsertionSkipUtility) {
   UrrSolution sol = MakeEmptySolution(instance_, oracle_.get());
-  const CandidateEval eval = EvaluateInsertion(instance_, *model_, sol, 0, 0,
+  const SolverContext ctx = ContextFor(oracle_.get(), model_.get());
+  const CandidateEval eval = EvaluateCandidate(instance_, &ctx, sol, 0, 0,
                                                /*need_utility=*/false);
   ASSERT_TRUE(eval.feasible);
   EXPECT_DOUBLE_EQ(eval.delta_utility, 0.0);  // not computed

@@ -55,9 +55,6 @@ struct Options {
   int threads = 0;  // 0 = URR_THREADS env, 1 = serial
   std::string out_path;
   bool json = false;  // machine-readable SolutionMetrics instead of the table
-  bool use_eval_cache = true;   // --no-eval-cache
-  bool zero_copy = true;        // --no-zero-copy
-  bool screening = true;        // --no-screen
   bool st_index = false;        // --st-index (or URR_ST_INDEX=1)
   bool help = false;
 };
@@ -91,12 +88,6 @@ solver:
   --out FILE.csv          dump the resulting schedules
   --json                  print SolutionMetrics as one JSON object instead
                           of the human-readable tables
-  --no-eval-cache         disable the (rider, vehicle, schedule-version)
-                          evaluation cache
-  --no-zero-copy          evaluate insertions on schedule copies instead of
-                          the zero-copy scratch kernel
-  --no-screen             disable Euclidean lower-bound candidate screening
-                          (all three toggles leave the solution byte-identical)
   --st-index              answer candidate retrieval from the incremental
                           spatio-temporal hash index instead of per-rider
                           reverse Dijkstra (also via URR_ST_INDEX=1; the
@@ -149,12 +140,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       *nt->second = std::atoi(v.c_str());
     } else if (flag == "--json") {
       opt.json = true;
-    } else if (flag == "--no-eval-cache") {
-      opt.use_eval_cache = false;
-    } else if (flag == "--no-zero-copy") {
-      opt.zero_copy = false;
-    } else if (flag == "--no-screen") {
-      opt.screening = false;
     } else if (flag == "--st-index") {
       opt.st_index = true;
     } else if (flag == "--seed") {
@@ -254,14 +239,12 @@ Status Run(const Options& opt) {
   ctx.rng = &rng;
   ctx.euclid_speed = network.MaxSpeed();
 
-  // --- Evaluation path (cache + kernel + screening; all toggles are pure
-  // optimizations — the solution is byte-identical either way). ----------------
+  // --- Evaluation path: the (rider, vehicle, schedule-version) cache and
+  // its counters. ----------------------------------------------------------
   EvalCache eval_cache;
   EvalCounters counters;
-  ctx.eval_cache = opt.use_eval_cache ? &eval_cache : nullptr;
+  ctx.eval_cache = &eval_cache;
   ctx.counters = &counters;
-  ctx.zero_copy_kernel = opt.zero_copy;
-  ctx.bound_screening = opt.screening;
 
   // --- Candidate retrieval (identical sets on either path). -------------------
   std::unique_ptr<StIndex> st_index;

@@ -52,9 +52,6 @@ struct Options {
   bool json = false;           // machine-readable EngineMetrics
   bool windows = false;        // include the per-window array in the JSON
   bool verify_replay = false;  // replay the log and compare
-  bool no_eval_cache = false;  // disable the cross-window eval cache
-  bool no_zero_copy = false;   // evaluate on schedule copies
-  bool no_screen = false;      // disable Euclidean bound screening
   bool st_index = false;       // ST-index candidate retrieval
   // Fault injection (seeded, replayable; all zero = no faults).
   double breakdown_fraction = 0;   // share of vehicles that break down
@@ -111,10 +108,7 @@ output:
   --verify-replay         rebuild the input from the log, re-run a fresh
                           engine and require byte-identical log + fleet state
 
-evaluation path (all toggles keep the log and fleet state byte-identical):
-  --no-eval-cache         disable the cross-window evaluation cache
-  --no-zero-copy          evaluate insertions on schedule copies
-  --no-screen             disable Euclidean lower-bound candidate screening
+candidate retrieval (keeps the log and fleet state byte-identical):
   --st-index              answer candidate retrieval from the incremental
                           spatio-temporal hash index instead of per-rider
                           reverse Dijkstra (also via URR_ST_INDEX=1)
@@ -184,9 +178,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       {"--json", &opt.json},
       {"--windows", &opt.windows},
       {"--verify-replay", &opt.verify_replay},
-      {"--no-eval-cache", &opt.no_eval_cache},
-      {"--no-zero-copy", &opt.no_zero_copy},
-      {"--no-screen", &opt.no_screen},
       {"--st-index", &opt.st_index},
       {"--verify-restore", &opt.verify_restore},
       {"--validate-invariants", &opt.validate_invariants},
@@ -337,15 +328,12 @@ Status Run(const Options& opt) {
                      UtilityParams{cfg.alpha, cfg.beta});
   SolverContext ctx = world->Context();
   ctx.model = &model;
-  ctx.zero_copy_kernel = !opt.no_zero_copy;
-  ctx.bound_screening = !opt.no_screen;
 
   EngineConfig ecfg;
   ecfg.window = opt.window;
   ecfg.solver = solver;
   ecfg.max_queue = opt.max_queue;
   ecfg.seed = opt.seed;
-  ecfg.use_eval_cache = !opt.no_eval_cache;
   ecfg.use_st_index = opt.st_index || GetEnvInt("URR_ST_INDEX", 0) != 0;
   ecfg.gbs = cfg.gbs;
   ecfg.max_redispatch = opt.max_redispatch;
