@@ -47,15 +47,24 @@ int main() {
   SolverContext solve_ctx = (*world)->Context();
   UrrSolution sol = SolveEfficientGreedy((*world)->instance, &solve_ctx);
 
-  // The candidate matrix: every rider against its valid vehicles.
+  // The candidate matrix: every rider against its valid vehicles, except
+  // the vehicle already serving it. The solvers never evaluate that pair
+  // (it would put two pickups with one rider id into one schedule).
   std::vector<RiderVehiclePair> pairs;
+  size_t own_vehicle_pairs = 0;
   for (RiderId i = 0; i < (*world)->instance.num_riders(); ++i) {
     for (int j : ValidVehiclesForRider((*world)->instance,
                                        (*world)->vehicle_index.get(), i,
                                        nullptr)) {
+      if (sol.assignment[static_cast<size_t>(i)] == j) {
+        ++own_vehicle_pairs;
+        continue;
+      }
       pairs.push_back({i, j});
     }
   }
+  std::printf("%zu candidate pairs (%zu rider-on-own-vehicle pairs left out)\n",
+              pairs.size(), own_vehicle_pairs);
   if (pairs.empty()) {
     std::fprintf(stderr, "no candidate pairs - world too tight\n");
     return 1;

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/parse.h"
+
 namespace urr {
 
 namespace {
@@ -11,19 +13,15 @@ const char* RawEnv(const std::string& name) { return std::getenv(name.c_str()); 
 double GetEnvDouble(const std::string& name, double fallback) {
   const char* raw = RawEnv(name);
   if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return value;
+  const Result<double> value = ParseDouble(raw, name);
+  return value.ok() ? *value : fallback;
 }
 
 int64_t GetEnvInt(const std::string& name, int64_t fallback) {
   const char* raw = RawEnv(name);
   if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<int64_t>(value);
+  const Result<int64_t> value = ParseInt(raw, name);
+  return value.ok() ? *value : fallback;
 }
 
 std::string GetEnvString(const std::string& name, const std::string& fallback) {

@@ -8,11 +8,11 @@
 
 namespace urr {
 
-/// Returns the env var `name` parsed as double, or `fallback` when unset or
-/// unparsable.
+/// Returns the env var `name` parsed whole as double, or `fallback` when
+/// unset or malformed ("4x" is malformed, not 4).
 double GetEnvDouble(const std::string& name, double fallback);
 
-/// Returns the env var `name` parsed as int64, or `fallback`.
+/// Returns the env var `name` parsed whole as int64, or `fallback`.
 int64_t GetEnvInt(const std::string& name, int64_t fallback);
 
 /// Returns the env var `name`, or `fallback` when unset.

@@ -31,6 +31,37 @@ SolverContext ExperimentWorld::Context() {
   return ctx;
 }
 
+Result<RoadNetwork> GenerateCityNetwork(const ExperimentConfig& config,
+                                        Rng* rng) {
+  RoadNetwork network;
+  switch (config.city) {
+    case CityKind::kNycLike: {
+      URR_ASSIGN_OR_RETURN(network, GenerateNycLike(config.city_nodes, rng));
+      break;
+    }
+    case CityKind::kChicagoLike: {
+      URR_ASSIGN_OR_RETURN(network,
+                           GenerateChicagoLike(config.city_nodes, rng));
+      break;
+    }
+    case CityKind::kGrid: {
+      GridCityOptions g;
+      g.width = config.grid_width;
+      g.height = config.grid_height;
+      URR_ASSIGN_OR_RETURN(network, GenerateGridCity(g, rng));
+      break;
+    }
+  }
+  if (config.quantize <= 0) return network;
+  // Rounded costs are exact doubles, so path sums over them are exact.
+  std::vector<Edge> edges = network.EdgeList();
+  for (Edge& e : edges) {
+    e.cost = std::round(e.cost / config.quantize) * config.quantize;
+  }
+  return RoadNetwork::Build(network.num_nodes(), std::move(edges),
+                            network.coords());
+}
+
 Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
     const ExperimentConfig& config) {
   auto world = std::make_unique<ExperimentWorld>();
@@ -39,37 +70,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
   Rng* rng = &world->rng;
 
   // --- Road network. -------------------------------------------------------
-  switch (config.city) {
-    case CityKind::kNycLike: {
-      URR_ASSIGN_OR_RETURN(world->network,
-                           GenerateNycLike(config.city_nodes, rng));
-      break;
-    }
-    case CityKind::kChicagoLike: {
-      URR_ASSIGN_OR_RETURN(world->network,
-                           GenerateChicagoLike(config.city_nodes, rng));
-      break;
-    }
-    case CityKind::kGrid: {
-      GridCityOptions g;
-      g.width = config.grid_width;
-      g.height = config.grid_height;
-      URR_ASSIGN_OR_RETURN(world->network, GenerateGridCity(g, rng));
-      break;
-    }
-  }
-  if (config.quantize > 0) {
-    // Same rounding as `urr_index build --quantize`, so snapshots built by
-    // that tool serialize byte-identically to this network.
-    std::vector<Edge> edges = world->network.EdgeList();
-    for (Edge& e : edges) {
-      e.cost = std::round(e.cost / config.quantize) * config.quantize;
-    }
-    URR_ASSIGN_OR_RETURN(
-        world->network,
-        RoadNetwork::Build(world->network.num_nodes(), std::move(edges),
-                           world->network.coords()));
-  }
+  URR_ASSIGN_OR_RETURN(world->network, GenerateCityNetwork(config, rng));
 
   // --- Evaluation pool (created before the oracle stack so the CH / HL
   // construction parallelizes on it; build results are bit-identical at any

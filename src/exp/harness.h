@@ -24,10 +24,9 @@
 
 namespace urr {
 
-/// Which city-like network preset to generate. kGrid matches the network
-/// `urr_index build --city grid` produces for the same seed/width/height/
-/// quantize, so .urrx snapshots (including the checked-in golden fixture)
-/// can cold-start a full experiment world.
+/// Which city-like network preset to generate (see GenerateCityNetwork).
+/// .urrx snapshots built by `urr_index build` from the same recipe,
+/// including the checked-in golden fixture, cold-start a full world.
 enum class CityKind { kNycLike, kChicagoLike, kGrid };
 
 /// One experiment's configuration; defaults mirror Table 3's bold values,
@@ -38,8 +37,7 @@ struct ExperimentConfig {
   int grid_width = 12;            // kGrid only
   int grid_height = 10;
   /// When > 0, snap every edge cost to a multiple of this value after
-  /// generation (exact doubles, so path sums are exact — same rule as
-  /// `urr_index build --quantize`).
+  /// generation (exact doubles, so path sums are exact).
   double quantize = 0;
   int num_social_users = 2000;
   int num_trip_records = 8000;
@@ -124,6 +122,12 @@ struct ExperimentWorld {
   /// matching the paper's accounting (Sec 6.2).
   Result<const GbsPreprocess*> GbsPreprocessing();
 };
+
+/// The city recipe: generates config.city's network from `rng` and snaps its
+/// edge costs to multiples of config.quantize when that is > 0. BuildWorld
+/// and `urr_index build` both call it, so their networks match byte for byte.
+Result<RoadNetwork> GenerateCityNetwork(const ExperimentConfig& config,
+                                        Rng* rng);
 
 /// Builds a world. Heap-allocated so borrowed pointers stay valid.
 Result<std::unique_ptr<ExperimentWorld>> BuildWorld(

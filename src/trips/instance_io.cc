@@ -1,8 +1,9 @@
 #include "trips/instance_io.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "common/parse.h"
 
 namespace urr {
 
@@ -17,28 +18,6 @@ std::string Num(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
   return buf;
-}
-
-Result<double> ParseDouble(const std::string& cell, const char* what) {
-  double value = 0;
-  const char* begin = cell.data();
-  auto [ptr, ec] = std::from_chars(begin, begin + cell.size(), value);
-  if (ec != std::errc() || ptr != begin + cell.size()) {
-    return Status::InvalidArgument(std::string("bad ") + what + ": '" + cell +
-                                   "'");
-  }
-  return value;
-}
-
-Result<int64_t> ParseInt(const std::string& cell, const char* what) {
-  int64_t value = 0;
-  const char* begin = cell.data();
-  auto [ptr, ec] = std::from_chars(begin, begin + cell.size(), value);
-  if (ec != std::errc() || ptr != begin + cell.size()) {
-    return Status::InvalidArgument(std::string("bad ") + what + ": '" + cell +
-                                   "'");
-  }
-  return value;
 }
 
 }  // namespace

@@ -1,35 +1,12 @@
 #include "trips/io.h"
 
-#include <charconv>
 #include <cstdio>
+
+#include "common/parse.h"
 
 namespace urr {
 
 namespace {
-
-Result<double> ParseDouble(const std::string& cell, const char* what) {
-  double value = 0;
-  const char* begin = cell.data();
-  const char* end = begin + cell.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument(std::string("bad ") + what + ": '" + cell +
-                                   "'");
-  }
-  return value;
-}
-
-Result<int64_t> ParseInt(const std::string& cell, const char* what) {
-  int64_t value = 0;
-  const char* begin = cell.data();
-  const char* end = begin + cell.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument(std::string("bad ") + what + ": '" + cell +
-                                   "'");
-  }
-  return value;
-}
 
 std::string FormatCost(Cost value) {
   char buf[64];

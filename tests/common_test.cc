@@ -15,6 +15,12 @@ TEST(EnvTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(GetEnvDouble("URR_TEST_D", 1.0), 2.5);
   ::setenv("URR_TEST_D", "garbage", 1);
   EXPECT_DOUBLE_EQ(GetEnvDouble("URR_TEST_D", 1.0), 1.0);
+  // A numeric prefix is not a number: trailing garbage and empty values
+  // fall back to the default too.
+  for (const char* bad : {"2.5x", "3O", "1e3 ", ""}) {
+    ::setenv("URR_TEST_D", bad, 1);
+    EXPECT_DOUBLE_EQ(GetEnvDouble("URR_TEST_D", 1.0), 1.0) << bad;
+  }
   ::unsetenv("URR_TEST_D");
   EXPECT_DOUBLE_EQ(GetEnvDouble("URR_TEST_D", 7.0), 7.0);
 }
@@ -26,6 +32,10 @@ TEST(EnvTest, IntParsing) {
   EXPECT_EQ(GetEnvInt("URR_TEST_I", 0), -3);
   ::setenv("URR_TEST_I", "zzz", 1);
   EXPECT_EQ(GetEnvInt("URR_TEST_I", 9), 9);
+  for (const char* bad : {"4x", "12 ", "2.5", "", "99999999999999999999"}) {
+    ::setenv("URR_TEST_I", bad, 1);
+    EXPECT_EQ(GetEnvInt("URR_TEST_I", 9), 9) << bad;
+  }
   ::unsetenv("URR_TEST_I");
   EXPECT_EQ(GetEnvInt("URR_TEST_I", 5), 5);
 }

@@ -13,6 +13,7 @@
 #include "common/binary_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "exp/harness.h"
 #include "graph/generators.h"
 #include "routing/distance_oracle.h"
 #include "routing/hub_labels.h"
@@ -199,10 +200,19 @@ TEST(IndexSnapshotGoldenTest, FixtureMatchesBuildRecipe) {
   // The fixture was produced by:
   //   urr_index build --city grid --width 12 --height 10 --seed 20170512
   //             --quantize 0.25 --threads 2 --out tests/data/golden.urrx
-  // Rebuilding from that recipe must reproduce it byte for byte (generator,
-  // contraction order, label extraction and encoding are all deterministic).
-  const RoadNetwork net = Quantize(SmallCity(20170512, 12, 10), 0.25);
-  const std::string rebuilt = SerializeIndexSnapshot(BuildSnap(net, 2));
+  // Rebuilding from that recipe through the shared city recipe (the code
+  // urr_index and BuildWorld run) must reproduce it byte for byte
+  // (generator, contraction order, label extraction and encoding are all
+  // deterministic).
+  ExperimentConfig recipe;
+  recipe.city = CityKind::kGrid;
+  recipe.grid_width = 12;
+  recipe.grid_height = 10;
+  recipe.quantize = 0.25;
+  Rng rng(20170512);
+  const auto net = GenerateCityNetwork(recipe, &rng);
+  ASSERT_TRUE(net.ok()) << net.status();
+  const std::string rebuilt = SerializeIndexSnapshot(BuildSnap(*net, 2));
   EXPECT_EQ(rebuilt, ReadFileBytes(GoldenPath()));
 }
 

@@ -8,9 +8,6 @@
 //   urr_dispatch --network nyc.gr --coords nyc.co --trips trips.csv
 //                --approach gbs-ba --out schedules.csv
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -25,6 +22,7 @@
 #include "social/checkins.h"
 #include "social/generators.h"
 #include "spatial/st_index.h"
+#include "tools/cli.h"
 #include "trips/instance_builder.h"
 #include "trips/io.h"
 #include "trips/trip_generator.h"
@@ -56,11 +54,9 @@ struct Options {
   std::string out_path;
   bool json = false;  // machine-readable SolutionMetrics instead of the table
   bool st_index = false;        // --st-index (or URR_ST_INDEX=1)
-  bool help = false;
 };
 
-void PrintUsage() {
-  std::printf(R"(urr_dispatch - utility-aware ridesharing batch dispatcher
+const char kUsage[] = R"(urr_dispatch - utility-aware ridesharing batch dispatcher
 
 network source (pick one):
   --network FILE.gr [--coords FILE.co]   load a DIMACS road network
@@ -93,63 +89,31 @@ solver:
                           reverse Dijkstra (also via URR_ST_INDEX=1; the
                           candidate sets and solution are identical)
 
-)");
-}
+)";
 
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--network", &opt.network_path}, {"--coords", &opt.coords_path},
-      {"--city", &opt.city},            {"--trips", &opt.trips_path},
-      {"--approach", &opt.approach},    {"--out", &opt.out_path},
-      {"--oracle", &opt.oracle},
+cli::Flags DispatchFlags(Options* opt) {
+  return {
+      {"--network", &opt->network_path},
+      {"--coords", &opt->coords_path},
+      {"--city", &opt->city},
+      {"--nodes", &opt->nodes},
+      {"--trips", &opt->trips_path},
+      {"--riders", &opt->riders},
+      {"--vehicles", &opt->vehicles},
+      {"--capacity", &opt->capacity},
+      {"--alpha", &opt->alpha},
+      {"--beta", &opt->beta},
+      {"--epsilon", &opt->epsilon},
+      {"--deadline-min", &opt->deadline_min_minutes},
+      {"--deadline-max", &opt->deadline_max_minutes},
+      {"--approach", &opt->approach},
+      {"--oracle", &opt->oracle},
+      {"--seed", &opt->seed},
+      {"--threads", &opt->threads},
+      {"--out", &opt->out_path},
+      {"--json", &opt->json},
+      {"--st-index", &opt->st_index},
   };
-  std::map<std::string, double*> doubles = {
-      {"--alpha", &opt.alpha},
-      {"--beta", &opt.beta},
-      {"--epsilon", &opt.epsilon},
-      {"--deadline-min", &opt.deadline_min_minutes},
-      {"--deadline-max", &opt.deadline_max_minutes},
-  };
-  std::map<std::string, int*> ints = {
-      {"--nodes", &opt.nodes},
-      {"--riders", &opt.riders},
-      {"--vehicles", &opt.vehicles},
-      {"--capacity", &opt.capacity},
-      {"--threads", &opt.threads},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto dt = doubles.find(flag); dt != doubles.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *dt->second = std::atof(v.c_str());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (flag == "--json") {
-      opt.json = true;
-    } else if (flag == "--st-index") {
-      opt.st_index = true;
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    }
-  }
-  return opt;
 }
 
 /// Dumps schedules as CSV rows (vehicle, seq, rider, event, node, deadline).
@@ -334,20 +298,7 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options opt;
+  return urr::cli::Main(argc, argv, urr::kUsage, urr::DispatchFlags(&opt),
+                        [&] { return urr::Run(opt); });
 }

@@ -14,43 +14,42 @@
 //   urr_index verify nyc4k.urrx --probe 500
 //   urr_index bench --city nyc --nodes 4000 --threads 1,2,8
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/binary_io.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "graph/generators.h"
 #include "routing/distance_oracle.h"
 #include "routing/index_snapshot.h"
+#include "tools/cli.h"
 
 namespace urr {
 namespace {
 
 struct Options {
+  Options() {
+    recipe.city_nodes = 2000;
+    recipe.grid_width = 16;
+    recipe.grid_height = 16;
+  }
+
   std::string mode;   // build | info | verify | bench
   std::string path;   // snapshot file (positional, for info/verify)
   std::string out;    // --out for build/bench
   std::string city = "grid";  // nyc | chicago | grid
-  int nodes = 2000;           // nyc/chicago target size
-  int width = 16;             // grid dimensions
-  int height = 16;
-  uint64_t seed = 42;
-  double quantize = 0;        // snap edge costs to multiples of this; 0 = off
+  ExperimentConfig recipe;    // the city recipe's other flags
   std::string threads = "1";  // build: one count; bench: comma list
+  std::vector<int> thread_counts;  // --threads, parsed
   int probe = 0;              // verify: CH-vs-HL probe pairs
-  bool help = false;
 };
 
-void PrintUsage() {
-  std::printf(R"(urr_index - .urrx routing-index snapshot tool
+const char kUsage[] = R"(urr_index - .urrx routing-index snapshot tool
 
 modes:
   build   generate a network, run CH contraction + hub-label extraction
@@ -76,89 +75,20 @@ verify: urr_index verify FILE [--probe N]
 info:   urr_index info FILE
 bench:  --threads T1,T2,...  [--out FILE]
 
-)");
-}
+)";
 
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--city", &opt.city},
-      {"--out", &opt.out},
-      {"--threads", &opt.threads},
+cli::Flags IndexFlags(Options* opt) {
+  return {
+      {"--city", &opt->city},
+      {"--nodes", &opt->recipe.city_nodes},
+      {"--width", &opt->recipe.grid_width},
+      {"--height", &opt->recipe.grid_height},
+      {"--seed", &opt->recipe.seed},
+      {"--quantize", &opt->recipe.quantize},
+      {"--threads", &opt->threads},
+      {"--out", &opt->out},
+      {"--probe", &opt->probe},
   };
-  std::map<std::string, int*> ints = {
-      {"--nodes", &opt.nodes},
-      {"--width", &opt.width},
-      {"--height", &opt.height},
-      {"--probe", &opt.probe},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (flag == "--quantize") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.quantize = std::atof(v.c_str());
-    } else if (!flag.empty() && flag[0] == '-') {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    } else if (opt.mode.empty()) {
-      opt.mode = flag;
-    } else if (opt.path.empty()) {
-      opt.path = flag;
-    } else {
-      return Status::InvalidArgument("unexpected argument: " + flag);
-    }
-  }
-  if (opt.mode.empty()) {
-    return Status::InvalidArgument("missing mode (build|info|verify|bench)");
-  }
-  return opt;
-}
-
-/// Generates the configured network, optionally snapping edge costs to
-/// multiples of --quantize (the rounded values are exact doubles, so sums
-/// over them are exact and query results are bitwise comparable).
-Result<RoadNetwork> MakeNetwork(const Options& opt) {
-  Rng rng(opt.seed);
-  RoadNetwork net;
-  if (opt.city == "nyc") {
-    URR_ASSIGN_OR_RETURN(net, GenerateNycLike(opt.nodes, &rng));
-  } else if (opt.city == "chicago") {
-    URR_ASSIGN_OR_RETURN(net, GenerateChicagoLike(opt.nodes, &rng));
-  } else if (opt.city == "grid") {
-    GridCityOptions g;
-    g.width = opt.width;
-    g.height = opt.height;
-    URR_ASSIGN_OR_RETURN(net, GenerateGridCity(g, &rng));
-  } else {
-    return Status::InvalidArgument("unknown --city " + opt.city +
-                                   " (expected nyc|chicago|grid)");
-  }
-  if (opt.quantize > 0) {
-    std::vector<Edge> edges = net.EdgeList();
-    for (Edge& e : edges) {
-      e.cost = std::round(e.cost / opt.quantize) * opt.quantize;
-    }
-    return RoadNetwork::Build(net.num_nodes(), std::move(edges),
-                              net.coords());
-  }
-  return net;
 }
 
 Result<std::vector<int>> ParseThreadList(const std::string& spec) {
@@ -167,17 +97,37 @@ Result<std::vector<int>> ParseThreadList(const std::string& spec) {
   while (pos <= spec.size()) {
     const size_t comma = std::min(spec.find(',', pos), spec.size());
     const std::string tok = spec.substr(pos, comma - pos);
-    const int t = std::atoi(tok.c_str());
-    if (t < 1) {
+    URR_ASSIGN_OR_RETURN(const int64_t t, ParseInt(tok, "--threads"));
+    if (t < 1 || t > std::numeric_limits<int>::max()) {
       return Status::InvalidArgument("bad thread count '" + tok + "'");
     }
-    counts.push_back(t);
+    counts.push_back(static_cast<int>(t));
     pos = comma + 1;
   }
-  if (counts.empty()) {
-    return Status::InvalidArgument("--threads list is empty");
-  }
   return counts;
+}
+
+/// The mode and snapshot file, then the --threads list: errors in either
+/// are usage errors.
+Status CheckWords(Options* opt, const std::vector<std::string>& words) {
+  if (words.size() > 2) {
+    return Status::InvalidArgument("unexpected argument: " + words[2]);
+  }
+  if (words.empty()) {
+    return Status::InvalidArgument("missing mode (build|info|verify|bench)");
+  }
+  opt->mode = words[0];
+  if (words.size() == 2) opt->path = words[1];
+  URR_ASSIGN_OR_RETURN(opt->thread_counts, ParseThreadList(opt->threads));
+  return Status::OK();
+}
+
+/// The city recipe BuildWorld uses, so snapshots cold-start its worlds.
+Result<RoadNetwork> MakeNetwork(const Options& opt) {
+  ExperimentConfig recipe = opt.recipe;
+  URR_ASSIGN_OR_RETURN(recipe.city, cli::ParseCity(opt.city));
+  Rng rng(recipe.seed);
+  return GenerateCityNetwork(recipe, &rng);
 }
 
 Result<IndexSnapshot> BuildWithThreads(const RoadNetwork& net, int threads,
@@ -193,7 +143,7 @@ Status RunBuild(const Options& opt) {
   if (opt.out.empty()) {
     return Status::InvalidArgument("build needs --out FILE");
   }
-  URR_ASSIGN_OR_RETURN(std::vector<int> counts, ParseThreadList(opt.threads));
+  const std::vector<int>& counts = opt.thread_counts;
   URR_ASSIGN_OR_RETURN(RoadNetwork net, MakeNetwork(opt));
   std::printf("network: %d nodes, %lld edges\n", net.num_nodes(),
               static_cast<long long>(net.num_edges()));
@@ -248,7 +198,7 @@ Status RunVerify(const Options& opt) {
     const NodeId n = snapshot.network.num_nodes();
     if (n == 0) return Status::InvalidArgument("empty snapshot");
     ChQuery query(snapshot.ch);
-    Rng rng(opt.seed);
+    Rng rng(opt.recipe.seed);
     for (int k = 0; k < opt.probe; ++k) {
       const NodeId u = static_cast<NodeId>(rng.UniformInt(0, n - 1));
       const NodeId v = static_cast<NodeId>(rng.UniformInt(0, n - 1));
@@ -267,7 +217,7 @@ Status RunVerify(const Options& opt) {
 }
 
 Status RunBench(const Options& opt) {
-  URR_ASSIGN_OR_RETURN(std::vector<int> counts, ParseThreadList(opt.threads));
+  const std::vector<int>& counts = opt.thread_counts;
   URR_ASSIGN_OR_RETURN(RoadNetwork net, MakeNetwork(opt));
   std::printf("network: %d nodes, %lld edges\n", net.num_nodes(),
               static_cast<long long>(net.num_edges()));
@@ -327,20 +277,11 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options opt;
+  return urr::cli::Main(
+      argc, argv, urr::kUsage, urr::IndexFlags(&opt),
+      [&] { return urr::Run(opt); },
+      [&](const std::vector<std::string>& words) {
+        return urr::CheckWords(&opt, words);
+      });
 }

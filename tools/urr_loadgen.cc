@@ -17,36 +17,27 @@
 //               --connections 8 --json
 //   urr_loadgen --port $(cat /tmp/port) --mode replay --shutdown
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
 
 #include "server/loadgen.h"
+#include "tools/cli.h"
 
 namespace urr {
 namespace {
 
+/// The flags write straight into the library's option structs, whose
+/// defaults are the tool's.
 struct Options {
-  int port = 0;
-  std::string socket_path;
+  Endpoint endpoint;
   std::string mode = "open";  // open | replay
-  int connections = 4;
-  double rate = 100;
-  std::string profile = "const";  // const | peak
-  double duration = 5;
-  double cancel_fraction = 0;
-  uint64_t seed = 1;
+  LoadGenOptions open_loop;
   int rider_offset = 0;
   int replay_limit = 0;   // replay only the first N schedule entries
-  double timeout = 10;    // per-request socket timeout, seconds
-  int max_retries = 4;    // attempts per request through reconnects
   bool shutdown = false;  // send {"op":"shutdown"} when done
   bool json = false;
-  bool help = false;
 };
 
-void PrintUsage() {
-  std::printf(R"(urr_loadgen - open-loop load generator for urr_server
+const char kUsage[] = R"(urr_loadgen - open-loop load generator for urr_server
 
 target:
   --port P                TCP 127.0.0.1:P
@@ -79,84 +70,38 @@ after ambiguous failures are deduplicated server-side):
 common:
   --shutdown              send {"op":"shutdown"} after the run
   --json                  print the report as one JSON object
-)");
-}
+)";
 
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--socket", &opt.socket_path},
-      {"--mode", &opt.mode},
-      {"--profile", &opt.profile},
+cli::Flags LoadgenFlags(Options* opt) {
+  LoadGenOptions& l = opt->open_loop;
+  return {
+      {"--port", &opt->endpoint.port},
+      {"--socket", &opt->endpoint.unix_path},
+      {"--mode", &opt->mode},
+      {"--connections", &l.connections},
+      {"--rate", &l.rate},
+      {"--profile", &l.profile},
+      {"--duration", &l.duration},
+      {"--cancel-fraction", &l.cancel_fraction},
+      {"--seed", &l.seed},
+      {"--rider-offset", &opt->rider_offset},
+      {"--replay-limit", &opt->replay_limit},
+      {"--timeout", &l.retry.request_timeout},
+      {"--max-retries", &l.retry.max_attempts},
+      {"--shutdown", &opt->shutdown},
+      {"--json", &opt->json},
   };
-  std::map<std::string, double*> doubles = {
-      {"--rate", &opt.rate},
-      {"--duration", &opt.duration},
-      {"--cancel-fraction", &opt.cancel_fraction},
-      {"--timeout", &opt.timeout},
-  };
-  std::map<std::string, int*> ints = {
-      {"--port", &opt.port},
-      {"--connections", &opt.connections},
-      {"--rider-offset", &opt.rider_offset},
-      {"--replay-limit", &opt.replay_limit},
-      {"--max-retries", &opt.max_retries},
-  };
-  std::map<std::string, bool*> bools = {
-      {"--shutdown", &opt.shutdown},
-      {"--json", &opt.json},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto dt = doubles.find(flag); dt != doubles.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *dt->second = std::atof(v.c_str());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (auto bt = bools.find(flag); bt != bools.end()) {
-      *bt->second = true;
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    }
-  }
-  return opt;
 }
 
 Status Run(const Options& opt) {
-  Endpoint endpoint;
-  endpoint.port = opt.port;
-  endpoint.unix_path = opt.socket_path;
+  const Endpoint& endpoint = opt.endpoint;
   LoadGenReport report;
   if (opt.mode == "replay") {
     URR_ASSIGN_OR_RETURN(report,
                          RunReplay(endpoint, opt.shutdown, opt.replay_limit));
   } else if (opt.mode == "open") {
-    LoadGenOptions lopt;
-    lopt.connections = opt.connections;
-    lopt.rate = opt.rate;
-    lopt.profile = opt.profile;
-    lopt.duration = opt.duration;
-    lopt.seed = opt.seed;
-    lopt.cancel_fraction = opt.cancel_fraction;
+    LoadGenOptions lopt = opt.open_loop;
     lopt.rider_offset = opt.rider_offset;
-    lopt.retry.request_timeout = opt.timeout;
-    lopt.retry.max_attempts = opt.max_retries;
     URR_ASSIGN_OR_RETURN(report, RunOpenLoop(endpoint, lopt));
     if (opt.shutdown) {
       URR_ASSIGN_OR_RETURN(ClientConnection conn,
@@ -207,20 +152,7 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options opt;
+  return urr::cli::Main(argc, argv, urr::kUsage, urr::LoadgenFlags(&opt),
+                        [&] { return urr::Run(opt); });
 }
