@@ -42,6 +42,6 @@ int NumThreads() {
   return static_cast<int>(raw);
 }
 
-std::string OracleName() { return GetEnvString("URR_ORACLE", "caching"); }
+std::string OracleName() { return GetEnvString("URR_ORACLE", "hl"); }
 
 }  // namespace urr

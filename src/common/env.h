@@ -31,7 +31,7 @@ uint64_t BenchSeed();
 int NumThreads();
 
 /// Distance-oracle stack for experiment worlds (env URR_ORACLE, default
-/// "caching"): dijkstra | ch | caching | hl. See ParseOracleKind.
+/// "hl", hub labels): dijkstra | ch | caching | hl. See ParseOracleKind.
 std::string OracleName();
 
 }  // namespace urr

@@ -79,7 +79,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
       config.num_threads > 0 ? config.num_threads : NumThreads();
   if (threads > 1) world->pool = std::make_unique<ThreadPool>(threads);
 
-  // --- Routing oracle stack (config / URR_ORACLE; default CH + memo cache).
+  // --- Routing oracle stack (config / URR_ORACLE; default hub labels).
   const std::string oracle_name =
       config.oracle.empty() ? OracleName() : config.oracle;
   URR_ASSIGN_OR_RETURN(OracleKind oracle_kind, ParseOracleKind(oracle_name));

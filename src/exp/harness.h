@@ -55,7 +55,7 @@ struct ExperimentConfig {
   uint64_t seed = 42;
 
   /// Distance-oracle stack: "dijkstra" | "ch" | "caching" | "hl"; "" (the
-  /// default) takes URR_ORACLE from the environment (default "caching").
+  /// default) takes URR_ORACLE from the environment (default "hl").
   /// All kinds answer exact distances; on quantized-cost networks the
   /// solver outputs are bit-identical across kinds.
   std::string oracle;

@@ -66,21 +66,21 @@ class RoadNetwork {
 
   /// Outgoing neighbors of `v` as parallel spans of (head, cost).
   std::span<const NodeId> OutNeighbors(NodeId v) const {
-    return {&edge_to_[out_begin_[v]],
+    return {edge_to_.data() + out_begin_[v],
             static_cast<size_t>(out_begin_[v + 1] - out_begin_[v])};
   }
   std::span<const Cost> OutCosts(NodeId v) const {
-    return {&edge_cost_[out_begin_[v]],
+    return {edge_cost_.data() + out_begin_[v],
             static_cast<size_t>(out_begin_[v + 1] - out_begin_[v])};
   }
 
   /// Incoming neighbors of `v` (tails of edges into v) and their costs.
   std::span<const NodeId> InNeighbors(NodeId v) const {
-    return {&redge_from_[in_begin_[v]],
+    return {redge_from_.data() + in_begin_[v],
             static_cast<size_t>(in_begin_[v + 1] - in_begin_[v])};
   }
   std::span<const Cost> InCosts(NodeId v) const {
-    return {&redge_cost_[in_begin_[v]],
+    return {redge_cost_.data() + in_begin_[v],
             static_cast<size_t>(in_begin_[v + 1] - in_begin_[v])};
   }
 

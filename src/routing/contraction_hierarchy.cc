@@ -46,22 +46,32 @@ struct Overlay {
   }
 };
 
-/// Bounded witness search: returns the shortest u ~> w distance in the
-/// overlay (skipping contracted nodes and `excluded`), giving up after
-/// kWitnessSettleLimit settles or once `limit` is exceeded. May overestimate
-/// (returns +inf on give-up), which only costs an extra shortcut.
+/// Bounded one-to-many witness search: from `source`, over the overlay
+/// (skipping contracted nodes and `excluded`), until every target has been
+/// popped, the queue runs dry or kWitnessSettleLimit settles. Only entries
+/// within `limit` are queued. Tentative distances may overestimate (+inf on
+/// give-up), which only costs an extra shortcut.
+///
+/// For a target w with via cost via_w <= limit this decides `dist(w) < via_w`
+/// exactly as a one-to-one search to w bounded by via_w would: both settle
+/// the nodes within via_w in the same (cost, id) order and count every pop,
+/// so the settle cap cuts both at the same point, and queue entries beyond
+/// via_w cannot bring dist(w) below via_w.
 class WitnessSearch {
  public:
   explicit WitnessSearch(size_t n)
-      : dist_(n, kInfiniteCost), stamp_(n, 0) {}
+      : dist_(n, kInfiniteCost), stamp_(n, 0), target_stamp_(n, 0) {}
 
-  Cost Run(const Overlay& overlay, NodeId source, NodeId target, NodeId excluded,
-           Cost limit) {
+  void Run(const Overlay& overlay, NodeId source,
+           std::span<const NodeId> targets, NodeId excluded, Cost limit) {
     ++now_;
     if (now_ == 0) {
       std::fill(stamp_.begin(), stamp_.end(), 0);
+      std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
       now_ = 1;
     }
+    for (const NodeId w : targets) target_stamp_[static_cast<size_t>(w)] = now_;
+    size_t pending = targets.size();
     while (!queue_.empty()) queue_.pop();
     Set(source, 0);
     queue_.push({0, source});
@@ -70,9 +80,11 @@ class WitnessSearch {
       auto [d, v] = queue_.top();
       queue_.pop();
       if (d > Get(v)) continue;
-      if (v == target) return d;
-      if (d > limit) break;
-      if (++settled > kWitnessSettleLimit) break;
+      if (target_stamp_[static_cast<size_t>(v)] == now_) {
+        target_stamp_[static_cast<size_t>(v)] = 0;
+        if (--pending == 0) return;
+      }
+      if (++settled > kWitnessSettleLimit) return;
       for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
         if (e.to == excluded || overlay.contracted[static_cast<size_t>(e.to)]) {
           continue;
@@ -84,14 +96,19 @@ class WitnessSearch {
         }
       }
     }
-    return Get(target);
   }
 
- private:
+  /// Tentative distance of `v` after the last Run (+inf when unreached).
   Cost Get(NodeId v) const {
     return stamp_[static_cast<size_t>(v)] == now_ ? dist_[static_cast<size_t>(v)]
                                                   : kInfiniteCost;
   }
+
+  // Per-search target list and via costs, reused across searches.
+  std::vector<NodeId> targets;
+  std::vector<Cost> via;
+
+ private:
   void Set(NodeId v, Cost d) {
     stamp_[static_cast<size_t>(v)] = now_;
     dist_[static_cast<size_t>(v)] = d;
@@ -99,6 +116,7 @@ class WitnessSearch {
 
   std::vector<Cost> dist_;
   std::vector<uint32_t> stamp_;
+  std::vector<uint32_t> target_stamp_;  // == now_: target not yet popped
   uint32_t now_ = 0;
   using Entry = std::pair<Cost, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
@@ -111,9 +129,10 @@ struct Shortcut {
   NodeId middle = kInvalidNode;  // contracted node the shortcut skips
 };
 
-/// Enumerates the shortcuts contraction of `v` would require. When `apply`
-/// is null the caller only wants the count (priority computation). A
-/// shortcut is omitted only when a STRICTLY cheaper witness exists; Build
+/// Enumerates the shortcuts contraction of `v` would require, with one
+/// witness search per in-neighbor u to all of v's out-neighbors. When
+/// `apply` is null the caller only wants the count (priority computation).
+/// A shortcut is omitted only when a STRICTLY cheaper witness exists; Build
 /// explains why the frozen rounds need the strict rule.
 int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness,
                         std::vector<Shortcut>* apply) {
@@ -121,12 +140,23 @@ int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness
   for (const auto& ein : overlay.in[static_cast<size_t>(v)]) {
     const NodeId u = ein.to;
     if (u == v || overlay.contracted[static_cast<size_t>(u)]) continue;
+    witness->targets.clear();
+    witness->via.clear();
+    Cost limit = 0;
     for (const auto& eout : overlay.out[static_cast<size_t>(v)]) {
       const NodeId w = eout.to;
       if (w == v || w == u || overlay.contracted[static_cast<size_t>(w)]) continue;
-      const Cost via = ein.cost + eout.cost;
+      witness->targets.push_back(w);
+      witness->via.push_back(ein.cost + eout.cost);
+      limit = std::max(limit, witness->via.back());
+    }
+    if (witness->targets.empty()) continue;
+    witness->Run(overlay, u, witness->targets, v, limit);
+    for (size_t k = 0; k < witness->targets.size(); ++k) {
+      const NodeId w = witness->targets[k];
+      const Cost via = witness->via[k];
       // Strictly cheaper witness path exists, no shortcut needed.
-      if (witness->Run(overlay, u, w, v, via) < via) continue;
+      if (witness->Get(w) < via) continue;
       ++shortcuts;
       if (apply != nullptr) apply->push_back({u, w, via, v});
     }

@@ -144,8 +144,8 @@ class CachingOracle : public DistanceOracle {
 enum class OracleKind {
   kDijkstra,  // "dijkstra": no preprocessing, ground truth
   kCh,        // "ch": plain contraction hierarchy
-  kCachingCh, // "caching": CH behind a memoizing cache (default)
-  kHubLabel,  // "hl": 2-hop labels extracted from the CH
+  kCachingCh, // "caching": CH behind a memoizing cache
+  kHubLabel,  // "hl": 2-hop labels extracted from the CH (default)
 };
 
 /// Parses "dijkstra" | "ch" | "caching" | "hl" (case-sensitive).

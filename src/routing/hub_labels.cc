@@ -327,46 +327,32 @@ Cost HubLabels::Distance(NodeId u, NodeId v) const {
 }
 
 void HubLabels::BatchDistances(std::span<const NodeId> sources,
-                               std::span<const NodeId> targets,
-                               Cost* out) const {
-  const size_t num_targets = targets.size();
-  std::fill(out, out + sources.size() * num_targets, kInfiniteCost);
-
-  // Gather the targets' backward labels into one hub-sorted array.
-  struct Triple {
-    NodeId hub;
-    int32_t target;
-    Cost cost;
-  };
-  std::vector<Triple> triples;
-  size_t total = 0;
-  for (const NodeId t : targets) total += BackwardHubs(t).size();
-  triples.reserve(total);
-  for (size_t j = 0; j < num_targets; ++j) {
-    const auto hubs = BackwardHubs(targets[j]);
-    const auto costs = BackwardCosts(targets[j]);
-    for (size_t k = 0; k < hubs.size(); ++k) {
-      triples.push_back({hubs[k], static_cast<int32_t>(j), costs[k]});
-    }
+                               std::span<const NodeId> targets, Cost* out,
+                               std::vector<Cost>* scratch) const {
+  if (scratch->size() != static_cast<size_t>(num_nodes_)) {
+    scratch->assign(static_cast<size_t>(num_nodes_), kInfiniteCost);
   }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              return a.hub != b.hub ? a.hub < b.hub : a.target < b.target;
-            });
-
+  Cost* by_hub = scratch->data();
+  const size_t num_targets = targets.size();
   for (size_t i = 0; i < sources.size(); ++i) {
     const auto hubs = ForwardHubs(sources[i]);
     const auto costs = ForwardCosts(sources[i]);
-    Cost* row = out + i * num_targets;
     for (size_t k = 0; k < hubs.size(); ++k) {
-      auto lo = std::lower_bound(
-          triples.begin(), triples.end(), hubs[k],
-          [](const Triple& e, NodeId key) { return e.hub < key; });
-      for (; lo != triples.end() && lo->hub == hubs[k]; ++lo) {
-        const Cost sum = costs[k] + lo->cost;
-        if (sum < row[lo->target]) row[lo->target] = sum;
-      }
+      by_hub[static_cast<size_t>(hubs[k])] = costs[k];
     }
+    Cost* row = out + i * num_targets;
+    for (size_t j = 0; j < num_targets; ++j) {
+      const auto target_hubs = BackwardHubs(targets[j]);
+      const auto target_costs = BackwardCosts(targets[j]);
+      Cost best = kInfiniteCost;
+      for (size_t k = 0; k < target_hubs.size(); ++k) {
+        const Cost sum =
+            by_hub[static_cast<size_t>(target_hubs[k])] + target_costs[k];
+        if (sum < best) best = sum;
+      }
+      row[j] = best;
+    }
+    for (const NodeId h : hubs) by_hub[static_cast<size_t>(h)] = kInfiniteCost;
   }
 }
 
@@ -393,7 +379,7 @@ void HubLabelOracle::BatchDistances(std::span<const NodeId> sources,
                                     std::span<const NodeId> targets,
                                     Cost* out) {
   num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-  labels_->BatchDistances(sources, targets, out);
+  labels_->BatchDistances(sources, targets, out, &scratch_);
 }
 
 std::unique_ptr<DistanceOracle> HubLabelOracle::Clone() const {

@@ -43,13 +43,16 @@ class HubLabels {
   /// kInfiniteCost when the labels share no hub.
   Cost Distance(NodeId u, NodeId v) const;
 
-  /// Bucket-based many-to-many: gathers the targets' backward labels into
-  /// one hub-sorted array, then answers every source row with binary
-  /// searches per forward-label entry. Fills out[i * targets.size() + j]
-  /// with Distance(sources[i], targets[j]); values are identical to the
-  /// scalar query (same candidate set, same sums).
+  /// Dense-bucket many-to-many: each source's forward label is written
+  /// into `scratch`, a hub-indexed array, and every target's backward label
+  /// is scanned against it. Fills out[i * targets.size() + j] with
+  /// Distance(sources[i], targets[j]); values are bitwise identical to the
+  /// scalar query (the min runs over the same sums). `scratch` is resized
+  /// to num_nodes() entries of kInfiniteCost on first use and left in that
+  /// state on return, so one buffer serves every call without allocation.
   void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) const;
+                      std::span<const NodeId> targets, Cost* out,
+                      std::vector<Cost>* scratch) const;
 
   NodeId num_nodes() const { return num_nodes_; }
   /// Total label entries over both directions (size accounting).
@@ -65,19 +68,19 @@ class HubLabels {
 
   /// Label spans (hubs ascending; costs parallel).
   std::span<const NodeId> ForwardHubs(NodeId v) const {
-    return {&fwd_hub_[static_cast<size_t>(fwd_begin_[v])],
+    return {fwd_hub_.data() + fwd_begin_[v],
             static_cast<size_t>(fwd_begin_[v + 1] - fwd_begin_[v])};
   }
   std::span<const Cost> ForwardCosts(NodeId v) const {
-    return {&fwd_cost_[static_cast<size_t>(fwd_begin_[v])],
+    return {fwd_cost_.data() + fwd_begin_[v],
             static_cast<size_t>(fwd_begin_[v + 1] - fwd_begin_[v])};
   }
   std::span<const NodeId> BackwardHubs(NodeId v) const {
-    return {&bwd_hub_[static_cast<size_t>(bwd_begin_[v])],
+    return {bwd_hub_.data() + bwd_begin_[v],
             static_cast<size_t>(bwd_begin_[v + 1] - bwd_begin_[v])};
   }
   std::span<const Cost> BackwardCosts(NodeId v) const {
-    return {&bwd_cost_[static_cast<size_t>(bwd_begin_[v])],
+    return {bwd_cost_.data() + bwd_begin_[v],
             static_cast<size_t>(bwd_begin_[v + 1] - bwd_begin_[v])};
   }
 
@@ -121,13 +124,15 @@ class HubLabelOracle : public DistanceOracle {
   void BatchDistances(std::span<const NodeId> sources,
                       std::span<const NodeId> targets, Cost* out) override;
   bool SupportsBatch() const override { return true; }
-  /// Clones share the immutable label store (no rebuild, no copy).
+  /// Clones share the immutable label store (no rebuild, no copy); each
+  /// clone gets its own batch scratch.
   std::unique_ptr<DistanceOracle> Clone() const override;
 
   const HubLabels& labels() const { return *labels_; }
 
  private:
   std::shared_ptr<const HubLabels> labels_;
+  std::vector<Cost> scratch_;  // BatchDistances hub buckets, allocated lazily
 };
 
 /// One fully-built routing stack plus the oracle solvers should use. The

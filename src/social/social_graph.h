@@ -32,7 +32,7 @@ class SocialGraph {
 
   /// Sorted friend list Γ(u).
   std::span<const UserId> Friends(UserId u) const {
-    return {&adj_[static_cast<size_t>(begin_[u])],
+    return {adj_.data() + begin_[u],
             static_cast<size_t>(begin_[u + 1] - begin_[u])};
   }
 

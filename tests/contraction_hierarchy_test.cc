@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
+#include "reference_contraction.h"
 
 namespace urr {
 namespace {
@@ -340,6 +341,111 @@ TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
       ExpectDistanceEq(query.Distance(s, targets[j]), want[j], s, targets[j]);
     }
   }
+}
+
+// Contraction differential: the one-to-many witness search must produce the
+// same hierarchy, byte for byte, as the per-pair reference at every thread
+// count.
+std::string ChBytes(const RoadNetwork& g, int threads) {
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  ChOptions options;
+  options.pool = pool.get();
+  auto ch = ContractionHierarchy::Build(g, options);
+  EXPECT_TRUE(ch.ok()) << ch.status();
+  BinaryWriter writer;
+  ch->Serialize(&writer);
+  return writer.TakeBuffer();
+}
+
+void ExpectMatchesReferenceContraction(const RoadNetwork& g) {
+  const std::string want = reference::ContractSerialized(g);
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_TRUE(ChBytes(g, threads) == want)
+        << "hierarchy at " << threads
+        << " threads differs from the per-pair reference";
+  }
+}
+
+TEST(ChReferenceTest, NycLikeCity) {
+  Rng rng(42);
+  auto g = GenerateNycLike(800, &rng);
+  ASSERT_TRUE(g.ok());
+  ExpectMatchesReferenceContraction(*g);
+}
+
+TEST(ChReferenceTest, ChicagoLikeCity) {
+  Rng rng(2017);
+  auto g = GenerateChicagoLike(600, &rng);
+  ASSERT_TRUE(g.ok());
+  ExpectMatchesReferenceContraction(*g);
+}
+
+TEST(ChReferenceTest, QuantizedGrid) {
+  Rng rng(5);
+  GridCityOptions opt;
+  opt.width = 20;
+  opt.height = 16;
+  auto g = GenerateGridCity(opt, &rng);
+  ASSERT_TRUE(g.ok());
+  std::vector<Edge> edges = g->EdgeList();
+  // Heavy ties: the strict-witness rule and the settle order decide.
+  for (Edge& e : edges) e.cost = std::max(1.0, std::round(e.cost / 16.0)) * 16.0;
+  auto q = RoadNetwork::Build(g->num_nodes(), std::move(edges), g->coords());
+  ASSERT_TRUE(q.ok());
+  ExpectMatchesReferenceContraction(*q);
+}
+
+// Long expensive edges over a cheap grid: their witness searches reach more
+// than the settle cap's worth of nodes within the via bound, so the cap
+// decides which shortcuts survive (it never binds on the small cities).
+TEST(ChReferenceTest, SettleCapBindsOnArterialGrid) {
+  constexpr NodeId kSide = 24;
+  Rng rng(11);
+  std::vector<Edge> edges;
+  for (NodeId y = 0; y < kSide; ++y) {
+    for (NodeId x = 0; x < kSide; ++x) {
+      const NodeId v = y * kSide + x;
+      if (x + 1 < kSide) {
+        const Cost c = rng.Uniform(1.0, 2.0);
+        edges.push_back({v, v + 1, c});
+        edges.push_back({v + 1, v, c});
+      }
+      if (y + 1 < kSide) {
+        const Cost c = rng.Uniform(1.0, 2.0);
+        edges.push_back({v, v + kSide, c});
+        edges.push_back({v + kSide, v, c});
+      }
+    }
+  }
+  for (int i = 0; i < 60; ++i) {
+    const auto a = static_cast<NodeId>(rng.UniformInt(0, kSide * kSide - 1));
+    const auto b = static_cast<NodeId>(rng.UniformInt(0, kSide * kSide - 1));
+    edges.push_back({a, b, rng.Uniform(40.0, 80.0)});
+  }
+  auto g = RoadNetwork::Build(kSide * kSide, std::move(edges));
+  ASSERT_TRUE(g.ok());
+  ExpectMatchesReferenceContraction(*g);
+}
+
+TEST(ChReferenceTest, IsolatedLastNode) {
+  Rng rng(9);
+  GridCityOptions opt;
+  opt.width = 10;
+  opt.height = 8;
+  auto g = GenerateGridCity(opt, &rng);
+  ASSERT_TRUE(g.ok());
+  // One more node with no edges at all: its CSR ranges are empty at the
+  // very end of every array.
+  auto h = RoadNetwork::Build(g->num_nodes() + 1, g->EdgeList());
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->OutNeighbors(h->num_nodes() - 1).empty());
+  ExpectMatchesReferenceContraction(*h);
+  auto ch = ContractionHierarchy::Build(*h);
+  ASSERT_TRUE(ch.ok());
+  ChQuery q(*ch);
+  EXPECT_EQ(q.Distance(0, h->num_nodes() - 1), kInfiniteCost);
+  EXPECT_EQ(q.Distance(h->num_nodes() - 1, 0), kInfiniteCost);
 }
 
 TEST(BidirectionalTest, MatchesDijkstra) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -156,6 +157,117 @@ TEST(HubLabelsTest, BatchedRectanglesMatchScalarBitwise) {
     for (size_t k = 0; k < us.size(); ++k) {
       EXPECT_EQ(BitsOf(pairwise[k]), BitsOf(oracle->Distance(us[k], vs[k])));
     }
+  }
+}
+
+// Edge cases of the dense-bucket batch kernel. Every cell must be bitwise
+// equal to the scalar label query, and the per-clone scratch must come back
+// clean after every call (a stale bucket would leak into the next batch).
+std::unique_ptr<HubLabelOracle> OracleWithIsolatedLastNode(NodeId* isolated) {
+  const RoadNetwork net = SmallCity(41, 10, 9);
+  auto g = RoadNetwork::Build(net.num_nodes() + 1, net.EdgeList());
+  EXPECT_TRUE(g.ok());
+  *isolated = g->num_nodes() - 1;
+  auto hl = HubLabelOracle::Create(*g);
+  EXPECT_TRUE(hl.ok());
+  return std::move(*hl);
+}
+
+void ExpectBatchMatchesScalar(DistanceOracle* oracle,
+                              const std::vector<NodeId>& sources,
+                              const std::vector<NodeId>& targets) {
+  const HubLabels& labels = dynamic_cast<HubLabelOracle*>(oracle)->labels();
+  std::vector<Cost> out(sources.size() * targets.size(), -1.0);
+  oracle->BatchDistances(sources, targets, out.data());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t j = 0; j < targets.size(); ++j) {
+      EXPECT_EQ(BitsOf(out[i * targets.size() + j]),
+                BitsOf(labels.Distance(sources[i], targets[j])))
+          << sources[i] << "->" << targets[j];
+    }
+  }
+}
+
+TEST(HubLabelsBatchTest, EmptySourcesOrTargetsWriteNothing) {
+  NodeId isolated = 0;
+  auto hl = OracleWithIsolatedLastNode(&isolated);
+  const std::vector<NodeId> some = {0, 3, isolated};
+  Cost sentinel = -1.0;
+  hl->BatchDistances({}, some, &sentinel);
+  hl->BatchDistances(some, {}, &sentinel);
+  hl->BatchDistances({}, {}, &sentinel);
+  EXPECT_EQ(sentinel, -1.0);
+  ExpectBatchMatchesScalar(hl.get(), some, some);
+}
+
+TEST(HubLabelsBatchTest, SingleRowAndSingleColumn) {
+  NodeId isolated = 0;
+  auto hl = OracleWithIsolatedLastNode(&isolated);
+  std::vector<NodeId> all;
+  for (NodeId v = 0; v <= isolated; ++v) all.push_back(v);
+  for (const NodeId v : {NodeId{0}, NodeId{17}, isolated}) {
+    ExpectBatchMatchesScalar(hl.get(), {v}, all);
+    ExpectBatchMatchesScalar(hl.get(), all, {v});
+  }
+}
+
+TEST(HubLabelsBatchTest, RepeatedTargetsAndDiagonal) {
+  NodeId isolated = 0;
+  auto hl = OracleWithIsolatedLastNode(&isolated);
+  const std::vector<NodeId> sources = {5, 9, 5, 23, isolated};
+  const std::vector<NodeId> targets = {9, 9, 5, 23, 5, isolated, 9};
+  ExpectBatchMatchesScalar(hl.get(), sources, targets);
+  std::vector<Cost> out(sources.size() * targets.size());
+  hl->BatchDistances(sources, targets, out.data());
+  EXPECT_EQ(out[0 * targets.size() + 2], 0.0);  // 5 -> 5
+  EXPECT_EQ(out[1 * targets.size() + 0], 0.0);  // 9 -> 9
+}
+
+TEST(HubLabelsBatchTest, UnreachablePairsAreInfinite) {
+  NodeId isolated = 0;
+  auto hl = OracleWithIsolatedLastNode(&isolated);
+  const std::vector<NodeId> sources = {0, isolated, 12};
+  const std::vector<NodeId> targets = {isolated, 0, 12};
+  std::vector<Cost> out(sources.size() * targets.size());
+  hl->BatchDistances(sources, targets, out.data());
+  EXPECT_EQ(out[0], kInfiniteCost);      // 0 -> isolated
+  EXPECT_EQ(out[3 + 1], kInfiniteCost);  // isolated -> 0
+  EXPECT_EQ(out[3 + 2], kInfiniteCost);  // isolated -> 12
+  EXPECT_EQ(out[3 + 0], 0.0);            // isolated -> isolated
+  EXPECT_EQ(out[6 + 0], kInfiniteCost);  // 12 -> isolated
+  EXPECT_LT(out[6 + 1], kInfiniteCost);  // 12 -> 0
+  ExpectBatchMatchesScalar(hl.get(), sources, targets);
+}
+
+// Clones never share batch scratch: two clones hammering the kernel from
+// two threads stay exact (and race-free under TSan).
+TEST(HubLabelsBatchTest, ClonesQueriedFromTwoThreads) {
+  NodeId isolated = 0;
+  auto hl = OracleWithIsolatedLastNode(&isolated);
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v <= isolated; v += 3) nodes.push_back(v);
+  std::vector<Cost> want(nodes.size() * nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = 0; j < nodes.size(); ++j) {
+      want[i * nodes.size() + j] = hl->labels().Distance(nodes[i], nodes[j]);
+    }
+  }
+  auto work = [&](DistanceOracle* oracle, std::vector<Cost>* got) {
+    got->assign(want.size(), -1.0);
+    for (int round = 0; round < 20; ++round) {
+      oracle->BatchDistances(nodes, nodes, got->data());
+    }
+  };
+  std::unique_ptr<DistanceOracle> a = hl->Clone();
+  std::unique_ptr<DistanceOracle> b = hl->Clone();
+  std::vector<Cost> got_a, got_b;
+  std::thread ta(work, a.get(), &got_a);
+  std::thread tb(work, b.get(), &got_b);
+  ta.join();
+  tb.join();
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(BitsOf(got_a[k]), BitsOf(want[k]));
+    EXPECT_EQ(BitsOf(got_b[k]), BitsOf(want[k]));
   }
 }
 

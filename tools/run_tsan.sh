@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Builds the repo under ThreadSanitizer and runs the concurrency-sensitive
-# test binaries (thread pool, serial-vs-parallel differential, stress).
+# test binaries (thread pool, serial-vs-parallel differential, stress, and
+# hub-label batch clones queried from two threads).
 #
 #   tools/run_tsan.sh [build-dir]
 #
@@ -16,11 +17,13 @@ cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DURR_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target thread_pool_test parallel_differential_test stress_test
+  --target thread_pool_test parallel_differential_test stress_test \
+  hub_labels_test
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR/tests/thread_pool_test"
 "$BUILD_DIR/tests/parallel_differential_test"
+"$BUILD_DIR/tests/hub_labels_test" --gtest_filter='HubLabelsBatchTest.*'
 "$BUILD_DIR/tests/stress_test" \
   --gtest_filter='*MultiThreadedSolvesAreDeterministic*'
 

@@ -48,7 +48,7 @@ struct Options {
   double deadline_min_minutes = 10;
   double deadline_max_minutes = 30;
   std::string approach = "ba";
-  std::string oracle;  // "" = URR_ORACLE env (default "caching")
+  std::string oracle;  // "" = URR_ORACLE env (default "hl")
   uint64_t seed = 42;
   int threads = 0;  // 0 = URR_THREADS env, 1 = serial
   std::string out_path;
@@ -76,8 +76,8 @@ instance:
 solver:
   --approach cf|eg|ba|gbs-eg|gbs-ba|online
   --oracle dijkstra|ch|caching|hl   distance oracle stack (default: the
-                          URR_ORACLE env var, then "caching" = CH + memo
-                          cache; "hl" = hub labels with batched evaluation)
+                          URR_ORACLE env var, then "hl" = hub labels with
+                          batched evaluation; "caching" = CH + memo cache)
   --seed S
   --threads T             evaluation threads (0 = URR_THREADS env, 1 = serial;
                           the solution is identical for every T)
